@@ -36,11 +36,30 @@ def format_table(headers: list[str], rows: list[list], *,
     return "\n".join(out)
 
 
+def _markers(names) -> dict[str, str]:
+    """One distinct glyph per series name, in order: the name's first
+    letter, else the first unused capital or digit of the name
+    (``AutoSklearn1`` -> ``S`` next to ``AutoGluon``), else any unused
+    character of the name, else a spare symbol."""
+    used: set[str] = set()
+    out: dict[str, str] = {}
+    for name in names:
+        rest = name[1:]
+        candidates = ([name[:1].upper()]
+                      + [c for c in rest if c.isupper() or c.isdigit()]
+                      + [c.upper() for c in rest if c.isalnum()]
+                      + list("*+#@%&$=~^?!"))
+        marker = next((c for c in candidates if c and c not in used), "?")
+        used.add(marker)
+        out[name] = marker
+    return out
+
+
 def ascii_scatter(points: dict[str, list[tuple[float, float]]], *,
                   width: int = 68, height: int = 18,
                   xlabel: str = "x", ylabel: str = "y",
                   logx: bool = False, logy: bool = False) -> str:
-    """Scatter named series onto a character grid (first letter = marker)."""
+    """Scatter named series onto a character grid (see :func:`_markers`)."""
     xs = [p[0] for series in points.values() for p in series]
     ys = [p[1] for series in points.values() for p in series]
     if not xs:
@@ -54,8 +73,9 @@ def ascii_scatter(points: dict[str, list[tuple[float, float]]], *,
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
     grid = [[" "] * width for _ in range(height)]
+    marker_of = _markers(points)
     for name, series in points.items():
-        marker = name[0].upper()
+        marker = marker_of[name]
         for x, y in series:
             cx = int((tx(x, logx) - x_lo) / x_span * (width - 1))
             cy = int((tx(y, logy) - y_lo) / y_span * (height - 1))
@@ -71,7 +91,7 @@ def ascii_scatter(points: dict[str, list[tuple[float, float]]], *,
     hi_lab = f"{10**y_hi:.3g}" if logy else f"{y_hi:.3g}"
     lines.append(f"y: {ylabel} [{lo_lab} .. {hi_lab}]"
                  f"{' (log)' if logy else ''}")
-    legend = ", ".join(f"{name[0].upper()}={name}" for name in points)
+    legend = ", ".join(f"{marker_of[name]}={name}" for name in points)
     lines.append(f"legend: {legend}")
     return "\n".join(lines)
 

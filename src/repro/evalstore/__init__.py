@@ -44,7 +44,7 @@ from repro.evalstore.records import (
     config_digest,
     trial_key,
 )
-from repro.evalstore.store import EvalStore, StoreStats
+from repro.evalstore.store import EvalStore
 from repro.evalstore.whatif import (
     WhatIfResult,
     select_pool,
@@ -58,7 +58,6 @@ __all__ = [
     "config_digest",
     "trial_key",
     "EvalStore",
-    "StoreStats",
     "TrialCapture",
     "active_capture",
     "install_capture",

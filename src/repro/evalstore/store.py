@@ -1,13 +1,13 @@
 """The content-addressed, queryable evaluation repository.
 
-``root/<key[:2]>/<key>.json`` of :class:`TrialRecord` payloads — the
-same sharded layout, atomic-write and corruption-degrades-to-miss
-semantics as :class:`~repro.runtime.cache.ResultCache`, generalised
-from one record per cell to one record per *trial*.  Writes are
-first-write-wins (trials are pure functions of their cell spec, so a
-cross-shard duplicate compute resolves by digest comparison, never a
-silent overwrite), which makes populating one store from N shards —
-or merging two stores — commutative, associative and idempotent.
+``root/<key[:2]>/<key>.json`` of :class:`TrialRecord` payloads: a codec
+over :class:`~repro.storage.ContentStore`, the primitive under the
+campaign result cache too, generalised from one record per cell to one
+record per *trial*.  Writes are first-write-wins (trials are pure
+functions of their cell spec, so a cross-shard duplicate compute
+resolves by digest comparison, never a silent overwrite), which makes
+populating one store from N shards — or merging two stores —
+commutative, associative and idempotent.
 
 :meth:`EvalStore.digest` is the determinism witness: a sha256 over the
 sorted canonical payloads, byte-identical for any worker/shard layout
@@ -18,72 +18,21 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import threading
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.evalstore.records import TrialRecord, config_digest
 from repro.faults import SEAM_STORE_CORRUPT, FaultInjector
 from repro.observability import MetricsRegistry
+from repro.storage import ContentStore, StoreStats
 
 
-class StoreStats:
-    """Thin view over the store's metrics registry (the
-    :class:`~repro.runtime.cache.CacheStats` pattern: counters live as
-    named metrics so campaign telemetry can merge them)."""
-
-    def __init__(self, registry: MetricsRegistry | None = None):
-        self.registry = registry or MetricsRegistry()
-
-    def _count(self, name: str) -> int:
-        return int(self.registry.counter(f"evalstore.{name}").value)
-
-    def record(self, name: str) -> None:
-        self.registry.counter(f"evalstore.{name}").inc()
-
-    @property
-    def hits(self) -> int:
-        return self._count("hits")
-
-    @property
-    def misses(self) -> int:
-        return self._count("misses")
-
-    @property
-    def writes(self) -> int:
-        return self._count("writes")
-
-    @property
-    def corrupt(self) -> int:
-        """Corrupt payloads detected — each read as a warned miss,
-        never an error; the chaos audit asserts this counter matches
-        the injected corruption count."""
-        return self._count("corrupt")
-
-    @property
-    def dedup_hits(self) -> int:
-        return self._count("dedup_hits")
-
-    @property
-    def dedup_conflicts(self) -> int:
-        return self._count("dedup_conflicts")
-
-    def as_dict(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses,
-                "writes": self.writes, "corrupt": self.corrupt,
-                "dedup_hits": self.dedup_hits,
-                "dedup_conflicts": self.dedup_conflicts}
+def _decode(data: bytes) -> TrialRecord:
+    return TrialRecord.from_dict(json.loads(data)["record"])
 
 
-def _payload_digest(payload: str) -> str:
-    try:
-        doc = json.loads(payload)
-        record = dict(doc.get("record") or {})
-    except (json.JSONDecodeError, TypeError, AttributeError):
-        return hashlib.sha256(payload.encode()).hexdigest()
-    canon = json.dumps(record, sort_keys=True)
+def _digest(data: bytes) -> str:
+    canon = json.dumps(json.loads(data)["record"], sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
@@ -92,94 +41,39 @@ class EvalStore:
     """Sharded on-disk repository of :class:`TrialRecord` payloads."""
 
     root: Path
-    stats: StoreStats = field(default_factory=StoreStats)
+    registry: MetricsRegistry = field(default_factory=MetricsRegistry)
     #: chaos hook (the ``store_corrupt`` seam): when armed, ``put`` may
     #: garble the payload bytes it writes so ``get`` detection is
     #: exercised under a seeded plan
     fault_injector: FaultInjector | None = None
 
     def __post_init__(self):
-        self.root = Path(self.root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        # shard threads in one coordinator share this store object; the
-        # lock makes the exists-check + replace in put() one atomic
-        # step in-process (cross-process writers stay safe via
-        # os.replace)
-        self._lock = threading.Lock()
+        self._store = ContentStore(self.root, prefix="evalstore",
+                                   label="evaluation-store entry",
+                                   registry=self.registry)
+        self.root = self._store.root
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+    @property
+    def stats(self) -> StoreStats:
+        return self._store.stats
 
     # -- single-record I/O -----------------------------------------------------
     def get(self, key: str) -> TrialRecord | None:
-        path = self._path(key)
-        try:
-            payload = json.loads(path.read_text())
-            record = TrialRecord.from_dict(payload["record"])
-        except FileNotFoundError:
-            self.stats.record("misses")
-            return None
-        except (json.JSONDecodeError, KeyError, TypeError, OSError):
-            # detected, counted and surfaced — a corrupt trial must
-            # read as a miss, never as an error OR a silent nothing
-            self.stats.record("corrupt")
-            self.stats.record("misses")
-            warnings.warn(
-                f"corrupt evaluation-store entry at {path} read as a "
-                f"miss (the trial drops out of what-if/portfolio "
-                f"queries)",
-                stacklevel=2,
-            )
-            return None
-        self.stats.record("hits")
-        return record
+        """The stored trial, or None (a miss; a corrupt entry is a
+        warned miss and the trial drops out of what-if/portfolio
+        queries)."""
+        return self._store.get(key, _decode)
 
     def put(self, record: TrialRecord) -> bool:
-        """First write wins; returns True when bytes hit the disk.
-
-        A second put of a key holding a *valid* entry is dropped and
-        counted as ``dedup_hits``; payload digests are compared and a
-        mismatch surfaced as a warning + ``dedup_conflicts`` (trials
-        must be pure functions of their cell spec).  A corrupt
-        existing entry is repaired by overwriting it.
-        """
+        """First write wins (see :meth:`ContentStore.put`); returns
+        True when bytes hit the disk."""
         key = record.key
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = json.dumps({"key": key, "record": record.as_dict()})
         if self.fault_injector is not None:
             payload = self.fault_injector.corrupt(
                 SEAM_STORE_CORRUPT, key, payload
             )
-        with self._lock:
-            existing = self._read_digest(path)
-            if existing is not None:
-                self.stats.record("dedup_hits")
-                if existing != _payload_digest(payload):
-                    self.stats.record("dedup_conflicts")
-                    warnings.warn(
-                        f"evaluation-store key {key[:12]}… was written "
-                        f"twice with different payloads; keeping the "
-                        f"first write (trials must be pure functions "
-                        f"of their cell spec)",
-                        stacklevel=2,
-                    )
-                return False
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            tmp.write_text(payload)
-            os.replace(tmp, path)
-            self.stats.record("writes")
-            return True
-
-    @staticmethod
-    def _read_digest(path: Path) -> str | None:
-        try:
-            payload = path.read_text()
-            json.loads(payload)["record"]
-        except (FileNotFoundError, json.JSONDecodeError, KeyError,
-                TypeError, OSError):
-            return None
-        return _payload_digest(payload)
+        return self._store.put(key, payload.encode(), _digest)
 
     # -- campaign write-through ------------------------------------------------
     def ingest(self, spec, cell_key: str, trials: list[dict]) -> int:
@@ -219,7 +113,7 @@ class EvalStore:
 
     # -- enumeration and queries -----------------------------------------------
     def keys(self) -> list[str]:
-        return sorted(p.stem for p in self.root.glob("*/*.json"))
+        return self._store.keys()
 
     def records(self) -> list[TrialRecord]:
         """Every valid record, in canonical order — sorted by content
@@ -281,13 +175,10 @@ class EvalStore:
         return {"written": written, "dedup": dedup}
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        return len(self._store)
 
     def clear(self) -> None:
-        for entry in self.root.glob("*/*.json"):
-            entry.unlink(missing_ok=True)
-        for orphan in self.root.glob("*/*.tmp.*"):
-            orphan.unlink(missing_ok=True)
+        self._store.clear()
 
 
 def _record_order(record: TrialRecord):

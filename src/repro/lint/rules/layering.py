@@ -3,10 +3,10 @@
 The package is stratified so that the compute stack composes strictly
 upward::
 
-    exceptions < utils < faults/metrics < models/preprocessing/datasets
-        < pipeline < energy < ensemble/metalearning/hpo < evalstore
-        < systems < devtuning < runtime/experiments/analysis < serving
-        < cli/__main__
+    exceptions < utils < faults/metrics/observability
+        < storage/models/preprocessing/datasets < pipeline < energy
+        < ensemble/metalearning/hpo < evalstore < systems < devtuning
+        < runtime/experiments/analysis < serving < cli/__main__
 
 ``faults`` and ``observability`` sit low on purpose: the runtime,
 energy and systems layers all import their injection/tracing hooks, so
@@ -37,6 +37,9 @@ LAYERS: dict[str, int] = {
     "faults": 2,
     "observability": 2,
     "metrics": 2,
+    # the content-addressed store primitive: counters on an
+    # observability registry, codecs in evalstore/runtime/serving above
+    "storage": 3,
     "models": 3,
     "preprocessing": 3,
     "datasets": 3,

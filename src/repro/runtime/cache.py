@@ -2,120 +2,36 @@
 
 Keys come from :meth:`CellSpec.cache_key` (dataset fingerprint + system
 + budget + seed + scaling + kwargs digest), so a warm cache turns a
-re-run of the same campaign into pure I/O: zero cells execute.  Entries
-are sharded two hex characters deep and written atomically
-(tmp + ``os.replace``); a corrupt or truncated entry reads as a miss,
-never as an error.
+re-run of the same campaign into pure I/O: zero cells execute.  The
+cache is a codec over :class:`~repro.storage.ContentStore`, which owns
+the sharded layout, the atomic write and the corruption-to-miss read.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import threading
-import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.experiments.results import RunRecord
 from repro.faults import SEAM_CACHE_CORRUPT, FaultInjector
 from repro.observability import MetricsRegistry
+from repro.storage import ContentStore, StoreStats
 
 
-def _payload_digest(payload: str) -> str:
+def _decode(data: bytes) -> RunRecord:
+    return RunRecord(**json.loads(data)["record"])
+
+
+def _digest(data: bytes) -> str:
     """Digest of a serialised entry with ``energy_source`` masked: two
     writers racing the same pure cell may legitimately disagree only on
     the measurement channel (a RAPL fault on one side)."""
-    try:
-        doc = json.loads(payload)
-        record = dict(doc.get("record") or {})
-    except (json.JSONDecodeError, TypeError, AttributeError):
-        return hashlib.sha256(payload.encode()).hexdigest()
+    record = dict(json.loads(data)["record"])
     record.pop("energy_source", None)
     canon = json.dumps(record, sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()
-
-
-def _owner_alive(suffix: str) -> bool:
-    """True when a tmp-file pid suffix names a live process — which may
-    be a sibling campaign mid-``put``.  Unparseable suffixes count as
-    dead (the file can only be junk)."""
-    if not suffix.isdigit():
-        return False
-    pid = int(suffix)
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except OSError:
-        return True   # e.g. EPERM: the process exists, just isn't ours
-    return True
-
-
-class CacheStats:
-    """Thin view over the cache's metrics registry.
-
-    The counters used to be plain dataclass ints; they now live as
-    named metrics (``cache.hits`` etc.) in a
-    :class:`~repro.observability.MetricsRegistry` so the executor can
-    merge them into the campaign-wide snapshot — the old attribute
-    surface (``hits``/``misses``/``writes``/``corrupt``) is preserved
-    as read-only properties.
-    """
-
-    def __init__(self, registry: MetricsRegistry | None = None):
-        self.registry = registry or MetricsRegistry()
-
-    def _count(self, name: str) -> int:
-        return int(self.registry.counter(f"cache.{name}").value)
-
-    def record(self, name: str) -> None:
-        self.registry.counter(f"cache.{name}").inc()
-
-    @property
-    def hits(self) -> int:
-        return self._count("hits")
-
-    @property
-    def misses(self) -> int:
-        return self._count("misses")
-
-    @property
-    def writes(self) -> int:
-        return self._count("writes")
-
-    @property
-    def corrupt(self) -> int:
-        return self._count("corrupt")
-
-    @property
-    def corrupt_entries(self) -> int:
-        """Corrupt payloads detected (each read as a miss, never silently
-        dropped): chaos runs assert this counter matches the injected
-        corruption count."""
-        return self.corrupt
-
-    @property
-    def dedup_hits(self) -> int:
-        """Puts dropped because an identical entry already existed —
-        the losing side of a cross-shard duplicate-compute race."""
-        return self._count("dedup_hits")
-
-    @property
-    def dedup_conflicts(self) -> int:
-        """Dedup'd puts whose payload digest did NOT match the existing
-        entry (always 0 for pure cells; anything else is a bug surfaced
-        with a warning rather than a silent overwrite)."""
-        return self._count("dedup_conflicts")
-
-    def as_dict(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses,
-                "writes": self.writes, "corrupt": self.corrupt,
-                "dedup_hits": self.dedup_hits,
-                "dedup_conflicts": self.dedup_conflicts}
 
 
 @dataclass
@@ -123,113 +39,40 @@ class ResultCache:
     """``root/<key[:2]>/<key>.json`` store of :class:`RunRecord` payloads."""
 
     root: Path
-    stats: CacheStats = field(default_factory=CacheStats)
+    registry: MetricsRegistry = field(default_factory=MetricsRegistry)
     #: chaos hook: when armed, ``put`` may garble the payload bytes it
     #: writes (the ``cache_corrupt`` seam) so ``get`` detection is
     #: exercised under a seeded plan
     fault_injector: FaultInjector | None = None
 
     def __post_init__(self):
-        self.root = Path(self.root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        # shard threads in one coordinator share this cache object; the
-        # lock makes the exists-check + replace in put() one atomic step
-        # in-process (cross-process writers stay safe via os.replace)
-        self._lock = threading.Lock()
-        # a crash between tmp.write_text and os.replace strands the tmp
-        # file forever (its pid never comes back); opening the cache is
-        # the safe moment to sweep them
-        self._sweep_tmp()
+        self._store = ContentStore(self.root, prefix="cache",
+                                   label="cache entry",
+                                   registry=self.registry)
+        self.root = self._store.root
 
-    def _sweep_tmp(self, *, all_owners: bool = False) -> None:
-        """Remove stranded ``*.tmp.<pid>`` files.
-
-        By default only files whose owning pid is dead are removed — a
-        live pid may be a concurrent campaign mid-``put``, and deleting
-        its tmp file would make that process's ``os.replace`` fail.
-        ``clear()`` passes ``all_owners=True``: an explicit wipe takes
-        everything.
-        """
-        for orphan in self.root.glob("*/*.tmp.*"):
-            if not all_owners and _owner_alive(orphan.name.rpartition(".")[2]):
-                continue
-            orphan.unlink(missing_ok=True)
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+    @property
+    def stats(self) -> StoreStats:
+        return self._store.stats
 
     def get(self, key: str) -> RunRecord | None:
-        path = self._path(key)
-        try:
-            payload = json.loads(path.read_text())
-            record = RunRecord(**payload["record"])
-        except FileNotFoundError:
-            self.stats.record("misses")
-            return None
-        except (json.JSONDecodeError, KeyError, TypeError, OSError):
-            # detected, counted and surfaced — a corrupt payload must
-            # read as a miss, never as an error OR a silent nothing
-            self.stats.record("corrupt")
-            self.stats.record("misses")
-            warnings.warn(
-                f"corrupt cache entry at {path} read as a miss "
-                f"(the cell will re-execute)",
-                stacklevel=2,
-            )
-            return None
-        self.stats.record("hits")
-        return record
+        """The cached record, or None (a miss; a corrupt entry is a
+        warned miss and the cell re-executes)."""
+        return self._store.get(key, _decode)
 
     def put(self, key: str, record: RunRecord) -> None:
-        """First write wins.  A second ``put`` for a key that already
-        holds a *valid* entry is dropped and counted as ``dedup_hits``
-        (the cross-shard duplicate-compute race resolves here instead of
-        silently overwriting); the payload digests are compared —
-        modulo ``energy_source``, the one legitimately varying field —
-        and a mismatch is surfaced as a warning + ``dedup_conflicts``.
-        A corrupt existing entry is repaired by overwriting it.
-        """
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        """First write wins (see :meth:`ContentStore.put`); payloads
+        are compared modulo ``energy_source``, the one legitimately
+        varying field."""
         payload = json.dumps({"key": key, "record": asdict(record)})
         if self.fault_injector is not None:
             payload = self.fault_injector.corrupt(
                 SEAM_CACHE_CORRUPT, key, payload
             )
-        with self._lock:
-            existing = self._read_digest(path)
-            if existing is not None:
-                self.stats.record("dedup_hits")
-                if existing != _payload_digest(payload):
-                    self.stats.record("dedup_conflicts")
-                    warnings.warn(
-                        f"cache key {key[:12]}… was written twice with "
-                        f"different payloads; keeping the first write "
-                        f"(cells must be pure functions of their spec)",
-                        stacklevel=2,
-                    )
-                return
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            tmp.write_text(payload)
-            os.replace(tmp, path)
-            self.stats.record("writes")
-
-    @staticmethod
-    def _read_digest(path: Path) -> str | None:
-        """Digest of the valid entry at ``path``, or None (missing or
-        corrupt — both mean the incoming put should really write)."""
-        try:
-            payload = path.read_text()
-            json.loads(payload)["record"]
-        except (FileNotFoundError, json.JSONDecodeError, KeyError,
-                TypeError, OSError):
-            return None
-        return _payload_digest(payload)
+        self._store.put(key, payload.encode(), _digest)
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        return len(self._store)
 
     def clear(self) -> None:
-        for entry in self.root.glob("*/*.json"):
-            entry.unlink(missing_ok=True)
-        self._sweep_tmp(all_owners=True)
+        self._store.clear()

@@ -180,6 +180,19 @@ def _replay_ledger(plan: FaultPlan, keys) -> list[tuple[str, str]]:
     return sorted(events)
 
 
+def _reread_corrupted(store, keys) -> tuple[list[str], int]:
+    """Re-read the keys a corruption seam garbled, through the store's
+    own ``get``: returns the keys still served and the store's
+    ``corrupt`` counter delta.  Every garbled entry must read as a
+    counted miss, so both must account for every key."""
+    before = store.stats.corrupt
+    with warnings.catch_warnings():
+        # the corruption warnings are the point here, not operator news
+        warnings.simplefilter("ignore")
+        served = [key for key in keys if store.get(key) is not None]
+    return served, store.stats.corrupt - before
+
+
 def _await_worker_exit(pids, deadline_s: float = 3.0) -> list[int]:
     """Pids still alive after the campaign (briefly polled: the executor
     kills and joins its workers, this only absorbs the reap latency)."""
@@ -313,12 +326,7 @@ def run_chaos_campaign(
 
     corrupt_keys = {key for seam, key in parent_events
                     if seam == SEAM_CACHE_CORRUPT}
-    before = cache.stats.corrupt
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        undetected = [key for key in corrupt_keys
-                      if cache.get(key) is not None]
-    detected = cache.stats.corrupt - before
+    undetected, detected = _reread_corrupted(cache, corrupt_keys)
     check(ChaosCheck(
         "cache-corruption-detected",
         not undetected and detected == len(corrupt_keys),
@@ -333,12 +341,9 @@ def run_chaos_campaign(
     # pool, it never poisons a query
     store_corrupt_keys = {key for seam, key in parent_events
                           if seam == SEAM_STORE_CORRUPT}
-    store_before = eval_store.stats.corrupt
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        store_undetected = [key for key in store_corrupt_keys
-                            if eval_store.get(key) is not None]
-    store_detected = eval_store.stats.corrupt - store_before
+    store_undetected, store_detected = _reread_corrupted(
+        eval_store, store_corrupt_keys,
+    )
     query_error = ""
     try:
         with warnings.catch_warnings():

@@ -8,11 +8,12 @@ fingerprint + config digest), which variant (``ensemble`` / ``refit`` /
 ``inference_kwh_per_instance`` that turns the paper's O1 (stacked
 ensembles blow up inference energy) into a routable number.
 
-The store is content-addressed like :class:`~repro.runtime.cache.ResultCache`:
-the artifact id is a sha256 over the manifest identity fields *and* the
-payload digest, sharded two hex characters deep, written atomically
-(tmp + ``os.replace``).  Corruption degrades gracefully the same way a
-corrupt cache entry does: a payload whose bytes no longer hash to the
+The store is a codec over :class:`~repro.storage.ContentStore`, the
+primitive under the campaign result cache and the evaluation store: the
+artifact id is a sha256 over the manifest identity fields *and* the
+payload digest, and the files are ``<id[:2]>/<id>.{pkl,json}``, written
+atomically.  Corruption degrades gracefully the same way a corrupt
+cache entry does: a payload whose bytes no longer hash to the
 manifest's ``payload_digest`` (or that fails to unpickle) is detected,
 counted on the ``artifacts.corrupt`` metric, surfaced as a warning, and
 read as a **miss** — never as an error, and never silently served.
@@ -20,9 +21,9 @@ read as a **miss** — never as an error, and never silently served.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-import os
 import pickle
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -33,6 +34,7 @@ import numpy as np
 from repro.energy.machines import DEFAULT_MACHINE, JOULES_PER_KWH
 from repro.faults import SEAM_ARTIFACT_CORRUPT, FaultInjector
 from repro.observability import MetricsRegistry
+from repro.storage import ContentStore, StoreStats
 
 #: bump when the payload or manifest layout changes; a loader refuses
 #: artifacts from a future format instead of guessing
@@ -137,6 +139,23 @@ def compute_artifact_id(system: str, variant: str,
     return _sha256(text.encode())
 
 
+def _decode_manifest(data: bytes) -> ArtifactManifest:
+    return ArtifactManifest.from_dict(json.loads(data))
+
+
+def _verified_model(payload_digest: str, payload: bytes):
+    """The model pickled in ``payload``; raises ``ValueError`` when the
+    bytes no longer hash to the manifest's digest or do not unpickle."""
+    if _sha256(payload) != payload_digest:
+        raise ValueError("payload fails digest verification")
+    try:
+        return pickle.loads(payload)
+    except Exception as exc:
+        # digest matched but the pickle stream is unreadable (e.g.
+        # saved by code that no longer exists): same graceful miss
+        raise ValueError(f"payload fails to deserialise: {exc!r}") from exc
+
+
 @dataclass
 class ArtifactStore:
     """``root/<id[:2]>/<id>.{pkl,json}`` store of deployable models."""
@@ -149,16 +168,14 @@ class ArtifactStore:
     fault_injector: FaultInjector | None = None
 
     def __post_init__(self):
-        self.root = Path(self.root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        self._store = ContentStore(self.root, prefix="artifacts",
+                                   label="artifact manifest",
+                                   registry=self.registry)
+        self.root = self._store.root
 
-    def _count(self, name: str) -> None:
-        self.registry.counter(f"artifacts.{name}").inc()
-
-    def _paths(self, artifact_id: str) -> tuple[Path, Path]:
-        shard = self.root / artifact_id[:2]
-        return (shard / f"{artifact_id}.pkl",
-                shard / f"{artifact_id}.json")
+    @property
+    def stats(self) -> StoreStats:
+        return self._store.stats
 
     # -- save ------------------------------------------------------------------
     def save(self, model, *, system: str, variant: str,
@@ -170,7 +187,9 @@ class ArtifactStore:
 
         ``inference_kwh_per_instance`` defaults to the analytic cost
         model's steady-state estimate on ``machine`` — the number the
-        SLO router converts to joules per prediction.
+        SLO router converts to joules per prediction.  A re-save
+        rewrites both files: the id is content-addressed, so the
+        rewrite is idempotent and repairs a corrupted payload.
         """
         payload = pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
         payload_digest = _sha256(payload)
@@ -203,40 +222,17 @@ class ArtifactStore:
             payload = self.fault_injector.corrupt_bytes(
                 SEAM_ARTIFACT_CORRUPT, artifact_id, payload,
             )
-        pkl_path, json_path = self._paths(artifact_id)
-        pkl_path.parent.mkdir(parents=True, exist_ok=True)
-        self._write_atomic(pkl_path, payload)
-        self._write_atomic(
-            json_path,
+        self._store.write(artifact_id, payload, suffix=".pkl")
+        self._store.write(
+            artifact_id,
             json.dumps(manifest.as_dict(), sort_keys=True).encode(),
         )
-        self._count("saved")
+        self.stats.record("writes")
         return manifest
-
-    @staticmethod
-    def _write_atomic(path: Path, payload: bytes) -> None:
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_bytes(payload)
-        os.replace(tmp, path)
 
     # -- load ------------------------------------------------------------------
     def load_manifest(self, artifact_id: str) -> ArtifactManifest | None:
-        _, json_path = self._paths(artifact_id)
-        try:
-            manifest = ArtifactManifest.from_dict(
-                json.loads(json_path.read_text())
-            )
-        except FileNotFoundError:
-            self._count("missing")
-            return None
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            self._count("corrupt")
-            warnings.warn(
-                f"corrupt artifact manifest at {json_path} read as a miss",
-                stacklevel=2,
-            )
-            return None
-        return manifest
+        return self._store.read(artifact_id, _decode_manifest)
 
     def load(self, artifact_id: str) -> LoadedArtifact | None:
         """Load + verify one artifact; corruption reads as a miss."""
@@ -244,7 +240,7 @@ class ArtifactStore:
         if manifest is None:
             return None
         if manifest.format_version > FORMAT_VERSION:
-            self._count("missing")
+            self.stats.record("misses")
             warnings.warn(
                 f"artifact {artifact_id[:12]}… uses format "
                 f"v{manifest.format_version} > v{FORMAT_VERSION}; "
@@ -252,42 +248,21 @@ class ArtifactStore:
                 stacklevel=2,
             )
             return None
-        pkl_path, _ = self._paths(artifact_id)
-        try:
-            payload = pkl_path.read_bytes()
-        except FileNotFoundError:
-            self._count("missing")
+        model = self._store.get(
+            artifact_id,
+            functools.partial(_verified_model, manifest.payload_digest),
+            suffix=".pkl", label="artifact payload",
+        )
+        if model is None:
             return None
-        if _sha256(payload) != manifest.payload_digest:
-            self._count("corrupt")
-            warnings.warn(
-                f"artifact payload at {pkl_path} fails digest "
-                f"verification; read as a miss (the variant will be "
-                f"dropped from serving)",
-                stacklevel=2,
-            )
-            return None
-        try:
-            model = pickle.loads(payload)
-        except Exception:
-            # digest matched but the pickle stream is unreadable (e.g.
-            # saved by code that no longer exists): same graceful miss
-            self._count("corrupt")
-            warnings.warn(
-                f"artifact payload at {pkl_path} fails to deserialise; "
-                f"read as a miss",
-                stacklevel=2,
-            )
-            return None
-        self._count("loaded")
         return LoadedArtifact(model, manifest)
 
     # -- enumeration -----------------------------------------------------------
     def manifests(self) -> list[ArtifactManifest]:
         """All readable manifests, sorted by artifact id (stable)."""
         out = []
-        for json_path in sorted(self.root.glob("*/*.json")):
-            manifest = self.load_manifest(json_path.stem)
+        for artifact_id in self._store.keys():
+            manifest = self.load_manifest(artifact_id)
             if manifest is not None:
                 out.append(manifest)
         return out
@@ -304,13 +279,7 @@ class ArtifactStore:
         ]
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.json"))
-
-    def stats(self) -> dict:
-        return {
-            name: int(self.registry.counter(f"artifacts.{name}").value)
-            for name in ("saved", "loaded", "missing", "corrupt")
-        }
+        return len(self._store)
 
 
 def export_system(store: ArtifactStore, system, dataset, *,

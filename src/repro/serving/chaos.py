@@ -114,9 +114,7 @@ def run_serving_chaos(
         )
     corrupt_fired = [key for s, key in export_injector.event_keys()
                      if s == SEAM_ARTIFACT_CORRUPT]
-    detected = int(
-        store.registry.counter("artifacts.corrupt").value
-    )
+    detected = store.stats.corrupt
 
     # 2. recovery: re-export the casualties cleanly (the model is still
     #    fitted in memory — a replica would re-pull from the training

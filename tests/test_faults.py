@@ -24,7 +24,7 @@ from repro.faults import (
     FaultPlan,
     SeamSpec,
 )
-from repro.runtime import CampaignJournal, ResultCache
+from repro.runtime import CampaignJournal
 from repro.systems.base import PipelineEvaluator
 
 
@@ -172,25 +172,6 @@ class TestFailureRecord:
     def test_dict_roundtrip(self):
         record = FailureRecord("E", "pool", 2, "died", injected=True)
         assert FailureRecord.from_dict(record.as_dict()) == record
-
-
-class TestCacheCorruptionSeam:
-    def test_injected_corruption_detected_on_read(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.fault_injector = FaultInjector(
-            FaultPlan.uniform(0, (SEAM_CACHE_CORRUPT,), 1.0)
-        )
-        cache.put("ab" + "0" * 62, _record())
-        with pytest.warns(UserWarning, match="corrupt cache entry"):
-            assert cache.get("ab" + "0" * 62) is None
-        assert cache.stats.corrupt_entries == 1
-        assert cache.stats.corrupt == 1
-
-    def test_unarmed_cache_roundtrips(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put("cd" + "0" * 62, _record())
-        assert cache.get("cd" + "0" * 62) == _record()
-        assert cache.stats.corrupt_entries == 0
 
 
 class TestJournalSeams:

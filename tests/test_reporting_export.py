@@ -56,6 +56,15 @@ class TestAsciiScatter:
         assert "x: budget" in text and "y: acc" in text
         assert "T=TabPFN" in text and "C=CAML" in text
 
+    def test_names_sharing_a_first_letter_get_distinct_markers(self):
+        text = ascii_scatter(
+            {"AutoGluon": [(1.0, 0.8)], "AutoSklearn1": [(10.0, 0.9)]},
+        )
+        legend = text.splitlines()[-1]
+        assert legend == "legend: A=AutoGluon, S=AutoSklearn1"
+        grid = "".join(text.splitlines()[1:-3])
+        assert grid.count("A") == 1 and grid.count("S") == 1
+
     def test_log_axes_label_decades(self):
         text = ascii_scatter(
             {"s": [(1.0, 1.0), (1000.0, 100.0)]}, logx=True, logy=True,

@@ -38,6 +38,10 @@ def _dead_pid() -> int:
     return proc.pid
 
 
+def _entry(cache, key):
+    return cache.root / key[:2] / f"{key}.json"
+
+
 def _record(**over):
     base = dict(
         system="CAML", dataset="credit-g", configured_seconds=10.0,
@@ -114,7 +118,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         key = "ab" + "0" * 62
         cache.put(key, _record())
-        cache._path(key).write_text("{not json")
+        _entry(cache, key).write_text("{not json")
         assert cache.get(key) is None
         assert cache.stats.corrupt == 1
 
@@ -123,7 +127,7 @@ class TestResultCache:
         key = "ab" + "0" * 62
         first = ResultCache(tmp_path)
         first.put(key, _record())
-        orphan = first._path(key).with_suffix(f".tmp.{_dead_pid()}")
+        orphan = _entry(first, key).with_suffix(f".tmp.{_dead_pid()}")
         orphan.write_text("half-written payload")
         reopened = ResultCache(tmp_path)
         assert not orphan.exists()
@@ -134,7 +138,7 @@ class TestResultCache:
         # mid-put; sweeping it would break that process's os.replace
         key = "ab" + "0" * 62
         cache = ResultCache(tmp_path)
-        live = cache._path(key).with_suffix(f".tmp.{os.getpid()}")
+        live = _entry(cache, key).with_suffix(f".tmp.{os.getpid()}")
         live.parent.mkdir(parents=True, exist_ok=True)
         live.write_text("someone else is mid-put")
         ResultCache(tmp_path)
@@ -145,7 +149,7 @@ class TestResultCache:
         key = "ab" + "0" * 62
         cache = ResultCache(tmp_path)
         cache.put(key, _record())
-        orphan = cache._path(key).with_suffix(f".tmp.{os.getpid()}")
+        orphan = _entry(cache, key).with_suffix(f".tmp.{os.getpid()}")
         orphan.write_text("half-written payload")
         cache.clear()
         assert not orphan.exists()
