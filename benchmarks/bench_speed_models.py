@@ -1,4 +1,5 @@
-"""Speed bench — histogram-binned tree kernels vs the exact builders.
+"""Speed bench — histogram-binned tree kernels vs the exact builders, and
+compiled tree-ensemble inference vs the per-tree predict loop.
 
 Fits the tree family (DT, RF, ET, GBM) twice on the same synthetic
 table — once with the exact sort-based split search, once with the
@@ -7,9 +8,17 @@ the binned-vs-exact prediction agreement into ``BENCH_models.json``.
 kNN rides along as the inference-bound member of the zoo: its number is
 prediction throughput through the blocked pairwise kernel.
 
+The ``predict`` section times ``predict_proba`` of campaign-sized RF,
+ET, GBM and AdaBoost models at 16-row batches (the serving
+micro-batch) and 300-row batches (a campaign validation split): the
+compiled path (one descent of the model's node table) against the
+per-tree loop it replaced (one descent per member tree, outputs added in
+member order), asserting that both return the same bytes.
+
 ``REPRO_BENCH_SMOKE=1`` shrinks the grid for CI; the committed artefact
 comes from a full local run, where the binned RF/GBM fits clear 5x.
-The CI gate only asserts the conservative 2x floor.
+The CI gate only asserts the conservative 2x floors (binned fit vs
+exact fit, compiled vs per-tree predict at 16 rows).
 """
 
 import os
@@ -20,6 +29,7 @@ from conftest import emit, write_bench_json
 from repro.analysis.reporting import format_table
 from repro.datasets import make_classification
 from repro.models import (
+    AdaBoostClassifier,
     DecisionTreeClassifier,
     ExtraTreesClassifier,
     GradientBoostingClassifier,
@@ -41,6 +51,14 @@ SEED = 0
 MIN_AGREEMENT = 0.9
 #: conservative CI floor; local full runs show >=5x for RF/GBM
 MIN_SPEEDUP = 2.0
+#: predict bench: campaign-sized training split and query pool
+N_PREDICT_TRAIN = 300
+N_PREDICT_QUERY = 1_200
+PREDICT_BATCHES = (16, 300)
+#: timing repeats per (model, batch size, path); the fastest is kept
+PREDICT_REPEATS = 3 if SMOKE else 7
+#: CI floor for compiled vs per-tree predict at 16-row batches
+MIN_PREDICT_SPEEDUP = 2.0
 
 
 def _models():
@@ -100,8 +118,83 @@ def _run_models_bench():
     return results
 
 
+def _predict_models():
+    """AutoGluon-portfolio-sized tree ensembles, plus SAMME AdaBoost."""
+    return [
+        ("RF", RandomForestClassifier(n_estimators=20, max_depth=12,
+                                      random_state=SEED)),
+        ("ET", ExtraTreesClassifier(n_estimators=20, max_depth=12,
+                                    random_state=SEED)),
+        ("GBM", GradientBoostingClassifier(
+            n_estimators=20, max_depth=5, learning_rate=0.06,
+            random_state=SEED)),
+        ("AdaBoost", AdaBoostClassifier(n_estimators=50, max_depth=2,
+                                        random_state=SEED)),
+    ]
+
+
+def _per_tree_proba(model, X):
+    """The per-tree loops the compiled node table replaced: each member
+    tree descends on its own, outputs are added in member order."""
+    X = np.asarray(X, dtype=float)
+    if isinstance(model, GradientBoostingClassifier):
+        raw = np.tile(model.init_raw_, (X.shape[0], 1))
+        for stage in model.stages_:
+            for c, tree in enumerate(stage):
+                raw[:, c] += model.learning_rate * tree.predict(X)
+        raw -= raw.max(axis=1, keepdims=True)
+        e = np.exp(raw)
+        return e / e.sum(axis=1, keepdims=True)
+    alphas = getattr(model, "estimator_weights_", None)
+    out = np.zeros((X.shape[0], len(model.classes_)))
+    for i, tree in enumerate(model.estimators_):
+        proba = np.zeros_like(out)
+        proba[:, tree.classes_] = tree.predict_proba(X)
+        out += proba if alphas is None else alphas[i] * proba
+    if alphas is None:
+        return out / len(model.estimators_)
+    return out / np.maximum(out.sum(axis=1, keepdims=True), 1e-12)
+
+
+def _rows_per_s(predict, batches) -> float:
+    best = np.inf
+    for _ in range(PREDICT_REPEATS):
+        with Stopwatch(WallClock()) as watch:
+            for batch in batches:
+                predict(batch)
+        best = min(best, watch.elapsed)
+    return sum(len(b) for b in batches) / best
+
+
+def _run_predict_bench():
+    X, y = make_classification(
+        N_PREDICT_TRAIN + N_PREDICT_QUERY, 20, 2, class_sep=1.0,
+        nonlinearity=0.3, random_state=SEED,
+    )
+    X, Xq = X[:N_PREDICT_TRAIN], X[N_PREDICT_TRAIN:]
+    y = y[:N_PREDICT_TRAIN]
+    results = {}
+    for name, model in _predict_models():
+        model.fit(X, y)
+        compiled = model.predict_proba(Xq)  # builds the node table
+        assert compiled.tobytes() == _per_tree_proba(model, Xq).tobytes(), \
+            f"{name} compiled predict must equal the per-tree loop"
+        row = {}
+        for size in PREDICT_BATCHES:
+            batches = [Xq[i:i + size] for i in range(0, len(Xq), size)]
+            fast = _rows_per_s(model.predict_proba, batches)
+            slow = _rows_per_s(lambda b: _per_tree_proba(model, b), batches)
+            row[f"compiled_rows_per_s_{size}"] = round(fast, 1)
+            row[f"per_tree_rows_per_s_{size}"] = round(slow, 1)
+            row[f"speedup_{size}"] = round(fast / slow, 2)
+        results[name] = row
+    return results
+
+
 def test_speed_models(benchmark):
-    results = benchmark.pedantic(_run_models_bench, rounds=1, iterations=1)
+    results, predict = benchmark.pedantic(
+        lambda: (_run_models_bench(), _run_predict_bench()),
+        rounds=1, iterations=1)
     path = write_bench_json("BENCH_models.json", {
         "config": {
             "max_bins": MAX_BINS,
@@ -112,6 +205,17 @@ def test_speed_models(benchmark):
             "smoke": SMOKE,
         },
         "models": results,
+        "predict": {
+            "config": {
+                "batch_rows": list(PREDICT_BATCHES),
+                "n_classes": 2,
+                "n_features": 20,
+                "n_query": N_PREDICT_QUERY,
+                "n_train": N_PREDICT_TRAIN,
+                "repeats": PREDICT_REPEATS,
+            },
+            "models": predict,
+        },
     })
     rows = [
         [name, f"{r['exact_s']:.2f}", f"{r['binned_s']:.2f}",
@@ -126,7 +230,17 @@ def test_speed_models(benchmark):
              ["model", "exact s", "binned s", "speedup", "agree",
               "rows/s", "fits/s"], rows)
          + f"\n\nkNN predict: {knn['predict_rows_per_s']:,.0f} rows/s "
-           f"(fit {knn['fit_s']:.3f}s)\nwrote {path}")
+           f"(fit {knn['fit_s']:.3f}s)\n\n"
+         + "predict_proba rows/s, compiled vs per-tree loop\n\n"
+         + format_table(
+             ["model"] + [f"{kind} {size}" for size in PREDICT_BATCHES
+                          for kind in ("compiled", "per-tree", "x")],
+             [[name] + [f"{r[key]:,.1f}" for size in PREDICT_BATCHES
+                        for key in (f"compiled_rows_per_s_{size}",
+                                    f"per_tree_rows_per_s_{size}",
+                                    f"speedup_{size}")]
+              for name, r in predict.items()])
+         + f"\nwrote {path}")
     for name in ("RF", "GBM"):
         r = results[name]
         assert r["speedup"] >= MIN_SPEEDUP, \
@@ -136,3 +250,7 @@ def test_speed_models(benchmark):
     assert results["ET"]["agreement"] >= 0.8  # random-splitter tolerance
     assert abs(results["DT"]["acc_exact"]
                - results["DT"]["acc_binned"]) < 0.05
+    for name, r in predict.items():
+        assert r["speedup_16"] >= MIN_PREDICT_SPEEDUP, \
+            f"{name} compiled predict must stay >={MIN_PREDICT_SPEEDUP}x " \
+            f"the per-tree loop at 16-row batches"

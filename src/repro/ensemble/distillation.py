@@ -13,12 +13,16 @@ import numpy as np
 
 from repro.models.base import clone
 from repro.models.mlp import MLPClassifier
-from repro.models.tree import DecisionTreeRegressor
+from repro.models.tree import (
+    CompiledTreesMixin,
+    DecisionTreeRegressor,
+    NodeTable,
+)
 from repro.utils.rng import check_random_state
 from repro.utils.validation import check_is_fitted
 
 
-class DistilledModel:
+class DistilledModel(CompiledTreesMixin):
     """A soft-label student: per-class regression trees over the teacher's
     probability surface (works for any teacher exposing predict_proba)."""
 
@@ -26,9 +30,12 @@ class DistilledModel:
         self.classes_ = np.asarray(classes)
         self._trees = trees
 
+    def _compile(self) -> NodeTable:
+        return NodeTable.of(self._trees)
+
     def predict_proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        raw = np.column_stack([t.predict(X) for t in self._trees])
+        raw = np.ascontiguousarray(self._table().predict(X).T)
         raw = np.clip(raw, 1e-9, None)
         return raw / raw.sum(axis=1, keepdims=True)
 

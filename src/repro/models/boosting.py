@@ -1,4 +1,9 @@
-"""Boosted tree ensembles: gradient boosting and AdaBoost (SAMME)."""
+"""Boosted tree ensembles: gradient boosting and AdaBoost (SAMME).
+
+Both predict through one compiled :class:`~repro.models.tree.NodeTable`
+per fitted model, whose leaf values carry the learning rate (GBM) or the
+estimator weight (AdaBoost), added up in stage order.
+"""
 
 from __future__ import annotations
 
@@ -6,12 +11,19 @@ import numpy as np
 
 from repro.models.base import BaseEstimator, ClassifierMixin
 from repro.models.binning import FeatureBinner
-from repro.models.tree import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.models.tree import (
+    CompiledTreesMixin,
+    DecisionTreeClassifier,
+    DecisionTreeRegressor,
+    NodeTable,
+    accumulate,
+)
 from repro.utils.rng import check_random_state, spawn_seeds
 from repro.utils.validation import check_is_fitted, check_X_y
 
 
-class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
+class GradientBoostingClassifier(CompiledTreesMixin, BaseEstimator,
+                                 ClassifierMixin):
     """Multinomial gradient boosting with shallow regression trees.
 
     One tree per class per round fit to the softmax residuals; supports
@@ -35,6 +47,7 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
         self.binning = binning
 
     def fit(self, X, y):
+        self._forget_table()
         X, y = check_X_y(X, y)
         codes = self._encode_labels(y)
         k = len(self.classes_)
@@ -80,13 +93,19 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
             self.stages_.append(stage)
         return self
 
+    def _compile(self) -> NodeTable:
+        trees = [tree for stage in self.stages_ for tree in stage]
+        return NodeTable.of(trees, weights=[self.learning_rate] * len(trees))
+
     def _raw_scores(self, X) -> np.ndarray:
+        """``init_raw_`` plus each stage's ``learning_rate * value``,
+        added one stage at a time."""
         X = np.asarray(X, dtype=float)
-        raw = np.tile(self.init_raw_, (X.shape[0], 1))
-        for stage in self.stages_:
-            for c, tree in enumerate(stage):
-                raw[:, c] += self.learning_rate * tree.predict(X)
-        return raw
+        steps = self._table().predict(X)
+        k = len(self.init_raw_)
+        steps = steps.reshape(len(self.stages_), k, steps.shape[1])
+        raw = accumulate(self.init_raw_[:, None], steps)
+        return np.ascontiguousarray(raw.T)
 
     def predict_proba(self, X) -> np.ndarray:
         check_is_fitted(self, "stages_")
@@ -102,7 +121,8 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
         )
 
 
-class AdaBoostClassifier(BaseEstimator, ClassifierMixin):
+class AdaBoostClassifier(CompiledTreesMixin, BaseEstimator,
+                         ClassifierMixin):
     """SAMME AdaBoost over decision stumps / shallow trees."""
 
     def __init__(self, n_estimators=50, learning_rate=1.0, max_depth=1,
@@ -113,6 +133,7 @@ class AdaBoostClassifier(BaseEstimator, ClassifierMixin):
         self.random_state = random_state
 
     def fit(self, X, y):
+        self._forget_table()
         X, y = check_X_y(X, y)
         codes = self._encode_labels(y)
         k = len(self.classes_)
@@ -153,17 +174,14 @@ class AdaBoostClassifier(BaseEstimator, ClassifierMixin):
             self.estimator_weights_.append(1.0)
         return self
 
+    def _compile(self) -> NodeTable:
+        return NodeTable.of(self.estimators_, len(self.classes_),
+                            weights=self.estimator_weights_)
+
     def predict_proba(self, X) -> np.ndarray:
         check_is_fitted(self, "estimators_")
         X = np.asarray(X, dtype=float)
-        k = len(self.classes_)
-        votes = np.zeros((X.shape[0], k))
-        for tree, alpha in zip(self.estimators_, self.estimator_weights_):
-            proba = np.zeros_like(votes)
-            local = tree.predict_proba(X)
-            for j, c in enumerate(tree.classes_):
-                proba[:, int(c)] = local[:, j]
-            votes += alpha * proba
+        votes = accumulate(0.0, self._table().predict(X))
         total = votes.sum(axis=1, keepdims=True)
         return votes / np.maximum(total, 1e-12)
 

@@ -4,6 +4,8 @@ With ``binning`` enabled the forest quantizes the training matrix exactly
 once (one :class:`~repro.models.binning.FeatureBinner` per forest) and every
 tree fits on row-subsets of the same shared binned matrix — bootstrap
 resampling indexes uint8 codes instead of re-quantizing floats per tree.
+Prediction descends every tree at once through the forest's compiled
+:class:`~repro.models.tree.NodeTable`.
 """
 
 from __future__ import annotations
@@ -12,12 +14,18 @@ import numpy as np
 
 from repro.models.base import BaseEstimator, ClassifierMixin, RegressorMixin
 from repro.models.binning import FeatureBinner
-from repro.models.tree import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.models.tree import (
+    CompiledTreesMixin,
+    DecisionTreeClassifier,
+    DecisionTreeRegressor,
+    NodeTable,
+    accumulate,
+)
 from repro.utils.rng import check_random_state, spawn_seeds
 from repro.utils.validation import check_is_fitted, check_X_y
 
 
-class _BaseForest(BaseEstimator):
+class _BaseForest(CompiledTreesMixin, BaseEstimator):
     """Bagged trees; subclasses choose the tree type and aggregation."""
 
     def __init__(self, n_estimators=100, max_depth=None, min_samples_split=2,
@@ -41,6 +49,7 @@ class _BaseForest(BaseEstimator):
     def _fit_forest(self, X, y):
         if self.n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
+        self._forget_table()
         rng = check_random_state(self.random_state)
         seeds = spawn_seeds(rng, self.n_estimators)
         n = X.shape[0]
@@ -92,22 +101,16 @@ class RandomForestClassifier(_BaseForest, ClassifierMixin):
             random_state=seed,
         )
 
+    def _compile(self) -> NodeTable:
+        # a bootstrap sample can miss a rare class entirely: such a tree
+        # adds zeros to the classes it never saw
+        return NodeTable.of(self.estimators_, len(self.classes_))
+
     def predict_proba(self, X) -> np.ndarray:
         check_is_fitted(self, "estimators_")
         X = np.asarray(X, dtype=float)
-        # A bootstrap sample can miss a rare class entirely, so trees may
-        # know fewer classes than the forest: align every tree's columns
-        # onto the forest's class codes before averaging.
-        k = len(self.classes_)
-        out = np.zeros((X.shape[0], k))
-        for tree in self.estimators_:
-            proba = tree.predict_proba(X)
-            if proba.shape[1] == k:
-                out += proba
-            else:
-                for j, code in enumerate(tree.classes_):
-                    out[:, int(code)] += proba[:, j]
-        return out / len(self.estimators_)
+        proba = self._table().predict(X)
+        return accumulate(0.0, proba) / len(self.estimators_)
 
 
 class ExtraTreesClassifier(RandomForestClassifier):
@@ -152,14 +155,18 @@ class RandomForestRegressor(_BaseForest, RegressorMixin):
             random_state=seed,
         )
 
-    def predict(self, X) -> np.ndarray:
+    def _compile(self) -> NodeTable:
+        return NodeTable.of(self.estimators_)
+
+    def _tree_predictions(self, X) -> np.ndarray:
+        """``(trees, rows)`` predictions, laid out as ``np.stack`` of
+        the per-tree predictions would lay them out."""
         check_is_fitted(self, "estimators_")
-        X = np.asarray(X, dtype=float)
-        preds = np.stack([t.predict(X) for t in self.estimators_])
-        return preds.mean(axis=0)
+        return self._table().predict(np.asarray(X, dtype=float))
+
+    def predict(self, X) -> np.ndarray:
+        return self._tree_predictions(X).mean(axis=0)
 
     def predict_with_std(self, X) -> tuple[np.ndarray, np.ndarray]:
-        check_is_fitted(self, "estimators_")
-        X = np.asarray(X, dtype=float)
-        preds = np.stack([t.predict(X) for t in self.estimators_])
+        preds = self._tree_predictions(X)
         return preds.mean(axis=0), preds.std(axis=0)

@@ -17,9 +17,14 @@ explicit work stack, after ivalice's ``_Tree``/``_Stack``):
   slot, bin, class)``, so the per-node Python overhead that dominates deep
   trees is amortized over the whole level.
 
-Binned trees still store real-valued thresholds, so prediction always runs
-on raw matrices; ensembles additionally reuse one shared binned matrix
-across all their trees (see ``forest.py`` / ``boosting.py``).
+Prediction is compiled: :class:`NodeTable` concatenates the node arrays of
+every member tree of a fitted model, turns leaves into self-loops and finds
+the leaf of every (tree, row) pair in one fixed-depth descent.  Ensembles
+hold one table each (:class:`CompiledTreesMixin`), built on first predict;
+a single tree's ``apply``/``apply_binned`` is the one-tree case of the same
+descent.  Binned trees still store real-valued thresholds, so prediction
+runs on raw matrices; only boosting's training-time score updates descend
+the shared binned matrix on integer bin thresholds.
 """
 
 from __future__ import annotations
@@ -126,17 +131,8 @@ class _Tree:
         self.depth = self.depth[:n]
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """Vectorised level-wise descent; returns the leaf id per row."""
-        nodes = np.zeros(X.shape[0], dtype=np.int64)
-        active = self.feature[nodes] != _LEAF
-        while np.any(active):
-            idx = np.flatnonzero(active)
-            cur = nodes[idx]
-            feat = self.feature[cur]
-            go_left = X[idx, feat] <= self.threshold[cur]
-            nodes[idx] = np.where(go_left, self.left[cur], self.right[cur])
-            active[idx] = self.feature[nodes[idx]] != _LEAF
-        return nodes
+        """Leaf id per row: the one-tree case of :meth:`NodeTable.apply`."""
+        return NodeTable([self]).apply(X)[0]
 
     def apply_binned(self, Xb: np.ndarray) -> np.ndarray:
         """Leaf ids for a pre-quantized code matrix (training-time fast
@@ -146,16 +142,7 @@ class _Tree:
             raise ValueError(
                 "apply_binned requires a tree fitted with binning enabled"
             )
-        nodes = np.zeros(Xb.shape[0], dtype=np.int64)
-        active = self.feature[nodes] != _LEAF
-        while np.any(active):
-            idx = np.flatnonzero(active)
-            cur = nodes[idx]
-            feat = self.feature[cur]
-            go_left = Xb[idx, feat] <= self.bin_threshold[cur]
-            nodes[idx] = np.where(go_left, self.left[cur], self.right[cur])
-            active[idx] = self.feature[nodes[idx]] != _LEAF
-        return nodes
+        return NodeTable([self], binned=True).apply(Xb)[0]
 
     @property
     def n_leaves(self) -> int:
@@ -166,6 +153,147 @@ class _Tree:
         O(1), never a per-call walk (``repro.serving`` prices every
         request through ``inference_flops`` -> ``get_depth``)."""
         return self.max_depth_
+
+
+class NodeTable:
+    """The member trees of one fitted model as one flat node table.
+
+    Node ``i`` of member tree ``t`` is row ``roots[t] + i``; ``children``
+    interleaves each node's (right, left) child so that the comparison
+    result picks the next node by index.  Every leaf is a self-loop
+    (feature 0, both children itself), so ``depth`` rounds of gather,
+    compare and select — the deepest member's depth — land every
+    (tree, row) pair on its leaf without tracking which rows are still
+    descending.  ``value`` holds the per-node leaf values the owning
+    model combines, already aligned by it (class codes, learning rate,
+    estimator weight); it may be ``None`` for a bare descent.
+    """
+
+    __slots__ = ("feature", "threshold", "children", "roots", "depth",
+                 "n_features", "value")
+
+    def __init__(self, trees, value=None, *, binned: bool = False):
+        def column(name):
+            parts = [getattr(t, name)[: t.n_nodes] for t in trees]
+            return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+        sizes = [t.n_nodes for t in trees]
+        roots = np.cumsum([0] + sizes[:-1], dtype=np.intp)
+        feature, left, right = (column("feature"), column("left"),
+                                column("right"))
+        if len(trees) > 1:  # member-local child ids -> table rows
+            shift = np.repeat(roots, sizes)
+            left = left + shift
+            right = right + shift
+        leaf = feature == _LEAF
+        ids = np.arange(len(feature), dtype=np.intp)
+        children = np.empty(2 * len(feature), dtype=np.intp)
+        children[0::2] = np.where(leaf, ids, right)
+        children[1::2] = np.where(leaf, ids, left)
+        self.feature = np.where(leaf, 0, feature)
+        self.threshold = column("bin_threshold" if binned else "threshold")
+        self.children = children
+        self.roots = roots
+        self.depth = max(t.max_depth_ for t in trees)
+        self.n_features = int(feature.max()) + 1
+        self.value = value
+
+    @classmethod
+    def of(cls, estimators, n_classes=None, weights=None) -> "NodeTable":
+        """The table of fitted ``DecisionTree*`` members, with leaf values
+        ready to add up: a regressor's scalar per node, or a classifier's
+        class probabilities placed onto the ensemble's ``n_classes``
+        codes (a class a member never saw adds zeros).  ``weights``
+        scales each member's values (learning rate, SAMME weight)."""
+        trees = [est.tree_ for est in estimators]
+        sizes = [t.n_nodes for t in trees]
+        if n_classes is None:
+            value = np.concatenate([t.value[: t.n_nodes, 0] for t in trees])
+        else:
+            value = np.zeros((sum(sizes), n_classes))
+            start = 0
+            for est, tree, size in zip(estimators, trees, sizes):
+                value[start:start + size, est.classes_] = tree.value[:size]
+                start += size
+        if weights is not None:
+            scale = np.repeat(np.asarray(weights, dtype=float), sizes)
+            value = scale.reshape((-1,) + (1,) * (value.ndim - 1)) * value
+        return cls(trees, value)
+
+    def apply(self, X) -> np.ndarray:
+        """Leaf id of every (tree, row) pair, shape ``(n_trees, n_rows)``."""
+        X = np.asarray(X)
+        if X.ndim == 1:
+            X = X.reshape(-1, 1)
+        n_rows, n_cols = X.shape
+        if n_cols < self.n_features:
+            raise IndexError(
+                f"trees split on feature {self.n_features - 1} but X has "
+                f"{n_cols} columns"
+            )
+        n_trees = len(self.roots)
+        # one flat (tree-major) slot per (tree, row) pair; row_start is
+        # each slot's offset of its row in the flattened X
+        nodes = np.repeat(self.roots, n_rows)
+        row_start = np.tile(np.arange(n_rows, dtype=np.intp) * n_cols,
+                            n_trees)
+        flat = np.ascontiguousarray(X).ravel()
+        feature, threshold, children = (self.feature, self.threshold,
+                                        self.children)
+        for _ in range(self.depth):
+            cell = feature[nodes]
+            cell += row_start
+            go_left = flat[cell] <= threshold[nodes]
+            nodes += nodes
+            nodes += go_left
+            nodes = children[nodes]
+        return nodes.reshape(n_trees, n_rows)
+
+    def predict(self, X) -> np.ndarray:
+        """Leaf value of every (tree, row) pair: ``value[apply(X)]``."""
+        return self.value[self.apply(X)]
+
+
+def accumulate(start, terms: np.ndarray) -> np.ndarray:
+    """``start + terms[0] + terms[1] + ...``, added left to right.
+
+    Member outputs are summed in the order the per-member loops this
+    replaces added them, one ``+`` per member, so a compiled prediction
+    is bit-identical to adding the members up one at a time (a pairwise
+    ``sum`` could round differently).
+    """
+    acc = np.empty((len(terms) + 1,) + terms.shape[1:])
+    acc[0] = start
+    acc[1:] = terms
+    return np.add.accumulate(acc, axis=0)[-1]
+
+
+class CompiledTreesMixin:
+    """One lazily built :class:`NodeTable` per fitted tree ensemble.
+
+    The table is derived state: built on the first predict from the
+    fitted trees (:meth:`_compile`), held on the instance, dropped by
+    ``fit`` (:meth:`_forget_table`) and left out of pickles, so a saved
+    model's bytes — and an artifact's content address — do not depend on
+    whether it predicted before it was saved.
+    """
+
+    def _compile(self) -> NodeTable:
+        raise NotImplementedError
+
+    def _table(self) -> NodeTable:
+        table = self.__dict__.get("_node_table")
+        if table is None:
+            table = self.__dict__["_node_table"] = self._compile()
+        return table
+
+    def _forget_table(self) -> None:
+        self.__dict__.pop("_node_table", None)
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_node_table", None)
+        return state
 
 
 class _Stack:

@@ -100,6 +100,9 @@ class LoadedArtifact:
     def __init__(self, model, manifest: ArtifactManifest):
         self.model = model
         self.manifest = manifest
+        #: ``n_samples -> inference_flops``: a loaded artifact is never
+        #: refit, so the server prices each batch size once
+        self._flops: dict[int, float] = {}
 
     @property
     def classes_(self):
@@ -112,7 +115,11 @@ class LoadedArtifact:
         return self.model.predict_proba(X)
 
     def inference_flops(self, n_samples: int) -> float:
-        return float(self.model.inference_flops(n_samples))
+        flops = self._flops.get(n_samples)
+        if flops is None:
+            flops = self._flops[n_samples] = float(
+                self.model.inference_flops(n_samples))
+        return flops
 
     def __repr__(self) -> str:
         m = self.manifest

@@ -2,9 +2,12 @@
 survive clone -> fit -> predict, params round-trips, and single-column
 input; every transformer must be idempotent on transform."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.ensemble.distillation import distill
 from repro.models import (
     AdaBoostClassifier,
     BernoulliNB,
@@ -21,6 +24,7 @@ from repro.models import (
     PriorFittedNetwork,
     QuadraticDiscriminantAnalysis,
     RandomForestClassifier,
+    RandomForestRegressor,
     RidgeClassifier,
     SGDClassifier,
     clone,
@@ -98,21 +102,85 @@ class TestClassifierContract:
         assert model.predict(X[:5]).shape == (5,)
 
     def test_refit_overwrites_state(self, estimator, split_binary, rng):
-        """Fitting twice must reflect only the second dataset."""
+        """Fitting twice must reflect only the second dataset — also
+        when the first fit predicted (and built derived state) before
+        the second."""
         X_tr, _, y_tr, _ = split_binary
         model = clone(estimator)
         model.fit(X_tr, y_tr)
+        model.predict_proba(X_tr[:5])
         X2 = rng.normal(0, 1, (60, X_tr.shape[1]))
         y2 = rng.integers(0, 3, 60)
         y2[:3] = [0, 1, 2]
         model.fit(X2, y2)
         assert len(model.classes_) == 3
+        fresh = clone(estimator).fit(X2, y2)
+        assert np.array_equal(model.predict_proba(X2),
+                              fresh.predict_proba(X2))
 
     def test_inference_flops_positive(self, estimator, split_binary):
         X_tr, _, y_tr, _ = split_binary
         model = clone(estimator)
         model.fit(X_tr, y_tr)
         assert model.inference_flops(10) > 0
+
+
+def _distilled(X, y):
+    teacher = RandomForestClassifier(n_estimators=3, random_state=0)
+    return distill(teacher.fit(X, y), X, max_depth=4, random_state=0)
+
+
+#: every model that predicts through a compiled tree table, as
+#: ``fit(X, y) -> fitted model`` (the BO surrogate regresses on the labels)
+TREE_ENSEMBLES = {
+    "RandomForestClassifier": lambda X, y: RandomForestClassifier(
+        n_estimators=5, random_state=0).fit(X, y),
+    "ExtraTreesClassifier": lambda X, y: ExtraTreesClassifier(
+        n_estimators=5, random_state=0).fit(X, y),
+    "GradientBoostingClassifier": lambda X, y: GradientBoostingClassifier(
+        n_estimators=4, random_state=0).fit(X, y),
+    "AdaBoostClassifier": lambda X, y: AdaBoostClassifier(
+        n_estimators=5, random_state=0).fit(X, y),
+    "RandomForestRegressor": lambda X, y: RandomForestRegressor(
+        n_estimators=5, random_state=0).fit(X, y),
+    "DistilledModel": _distilled,
+}
+
+
+def _outputs(model, X):
+    if hasattr(model, "predict_proba"):
+        return model.predict_proba(X)
+    return np.stack(model.predict_with_std(X))
+
+
+class TestCompiledTreeState:
+    """The compiled node table is derived state: a predict must not
+    change what is pickled, an unpickled model predicts the same, and a
+    second fit never predicts through the first fit's table."""
+
+    @pytest.mark.parametrize("name", sorted(TREE_ENSEMBLES))
+    def test_pickle_bytes_unchanged_by_predict(self, name, split_binary):
+        X_tr, X_te, y_tr, _ = split_binary
+        model = TREE_ENSEMBLES[name](X_tr, y_tr)
+        before = pickle.dumps(model)
+        expected = _outputs(model, X_te)
+        assert pickle.dumps(model) == before
+        copy = pickle.loads(before)
+        assert _outputs(copy, X_te).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "name", sorted(set(TREE_ENSEMBLES) - {"DistilledModel"}))
+    def test_second_fit_predicts_like_a_fresh_model(self, name,
+                                                    split_binary, rng):
+        X_tr, _, y_tr, _ = split_binary
+        model = TREE_ENSEMBLES[name](X_tr, y_tr)
+        _outputs(model, X_tr)
+        X2 = rng.normal(0, 1, (60, X_tr.shape[1]))
+        y2 = rng.integers(0, 3, 60)
+        model.fit(X2, y2)
+        fresh = TREE_ENSEMBLES[name](X2, y2)
+        assert _outputs(model, X2).tobytes() == \
+            _outputs(fresh, X2).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -49,6 +49,20 @@ class TestRoundTrip:
         assert loaded.inference_flops(7) == model.inference_flops(7)
         assert np.array_equal(loaded.classes_, model.classes_)
 
+    def test_inference_flops_priced_once_per_row_count(self, store):
+        """A loaded artifact is never refit: the server's per-batch
+        pricing reaches the model once per distinct row count."""
+        loaded = store.load(_save_stub(store).artifact_id)
+        calls = []
+        price = loaded.model.inference_flops
+        loaded.model.inference_flops = \
+            lambda n: calls.append(n) or price(n)
+        first = loaded.inference_flops(16)
+        assert loaded.inference_flops(16) == first == price(16)
+        assert calls == [16]
+        loaded.inference_flops(4)
+        assert calls == [16, 4]
+
     def test_manifest_fields_survive(self, store):
         manifest = _save_stub(store, extra={"dataset": "credit-g"})
         loaded = store.load(manifest.artifact_id)

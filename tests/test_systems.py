@@ -202,6 +202,32 @@ class TestAutoGluon:
                    categorical_mask=ds.categorical_mask)
         assert system.model_.weights.sum() == pytest.approx(1.0)
 
+    def test_zero_weight_layer1_bags_are_never_run(self, ds, monkeypatch):
+        """Predict runs the bags ``inference_flops`` prices: a layer-1
+        bag with weight 0 runs only when a weighted layer-2 bag needs
+        its block as a feature."""
+        system = AutoGluonSystem(**FAST)
+        system.fit(ds.X_train, ds.y_train, budget_s=30,
+                   categorical_mask=ds.categorical_mask)
+        model = system.model_
+        layer1 = model.stack.layer1_
+        assert len(layer1) >= 2 and model.stack.layer2_
+        weights = np.zeros(len(model.weights))
+        weights[0], weights[1] = 0.6, 0.4
+        model.weights = weights
+        expected = model.predict_proba(ds.X_test)
+
+        def refuse(X):
+            raise AssertionError("a zero-weight bag was run")
+
+        for bag in layer1[2:]:
+            monkeypatch.setattr(bag, "predict_proba", refuse)
+        got = model.predict_proba(ds.X_test)
+        assert got.tobytes() == expected.tobytes()
+        weights[len(layer1)] = 0.5  # a weighted layer-2 bag needs them all
+        with pytest.raises(AssertionError, match="zero-weight"):
+            model.predict_proba(ds.X_test)
+
 
 class TestAutoSklearn:
     def test_returns_caruana_ensemble(self, ds):
