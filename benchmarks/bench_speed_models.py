@@ -1,5 +1,6 @@
-"""Speed bench — histogram-binned tree kernels vs the exact builders, and
-compiled tree-ensemble inference vs the per-tree predict loop.
+"""Speed bench — histogram-binned tree kernels vs the exact builders,
+compiled tree-ensemble inference vs the per-tree predict loop, and the
+row-wise exact split search vs the per-feature scan it replaced.
 
 Fits the tree family (DT, RF, ET, GBM) twice on the same synthetic
 table — once with the exact sort-based split search, once with the
@@ -15,16 +16,29 @@ compiled path (one descent of the model's node table) against the
 per-tree loop it replaced (one descent per member tree, outputs added in
 member order), asserting that both return the same bytes.
 
+The ``exact`` section times exact fits at campaign shapes: the BO
+surrogate (a 16-tree ``RandomForestRegressor`` on 157 encoded
+configurations of the 28-column search space) and 50-stage gradient
+boosting on 325x5 and 229x20.  Each fit runs with the row-wise search
+(one sort and one prefix scan over all candidate features of a node) and
+with the per-feature scan it replaced (``split_search_reference.py``,
+also the reference of ``tests/test_exact_split_search.py``), and both
+must grow the same tree bytes.
+
 ``REPRO_BENCH_SMOKE=1`` shrinks the grid for CI; the committed artefact
-comes from a full local run, where the binned RF/GBM fits clear 5x.
-The CI gate only asserts the conservative 2x floors (binned fit vs
-exact fit, compiled vs per-tree predict at 16 rows).
+comes from a full local run, where the binned RF/GBM fits clear 3.5x.
+A binned random forest grows all its trees in one level loop, so its
+binned fit pays the per-level Python cost once per forest, not per tree.
+The CI gate only asserts the conservative floors: 2x for binned fit vs
+exact fit and for compiled vs per-tree predict at 16 rows, 1.5x for the
+row-wise vs the per-feature exact search on the surrogate row.
 """
 
 import os
 
 import numpy as np
 from conftest import emit, write_bench_json
+from split_search_reference import per_feature_search
 
 from repro.analysis.reporting import format_table
 from repro.datasets import make_classification
@@ -35,7 +49,9 @@ from repro.models import (
     GradientBoostingClassifier,
     KNeighborsClassifier,
     RandomForestClassifier,
+    RandomForestRegressor,
 )
+from repro.pipeline.spaces import build_space
 from repro.utils.timer import Stopwatch, WallClock
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
@@ -49,7 +65,7 @@ SEED = 0
 #: binned split search may tie-break differently than the exact scan, so
 #: "equal predictions" is agreement on held-out rows, not bit identity
 MIN_AGREEMENT = 0.9
-#: conservative CI floor; local full runs show >=5x for RF/GBM
+#: conservative CI floor; local full runs show >=3.5x for RF/GBM
 MIN_SPEEDUP = 2.0
 #: predict bench: campaign-sized training split and query pool
 N_PREDICT_TRAIN = 300
@@ -59,6 +75,13 @@ PREDICT_BATCHES = (16, 300)
 PREDICT_REPEATS = 3 if SMOKE else 7
 #: CI floor for compiled vs per-tree predict at 16-row batches
 MIN_PREDICT_SPEEDUP = 2.0
+#: exact section: BO surrogate trials and GBM (rows, features) shapes
+EXACT_SURROGATE_TRIALS = 157
+EXACT_GBM_SHAPES = ((325, 5), (229, 20))
+#: alternating (row-wise, per-feature) timing pairs; the fastest is kept
+EXACT_REPEATS = 3 if SMOKE else 5
+#: CI floor for the row-wise vs per-feature exact search, surrogate row
+MIN_EXACT_SPEEDUP = 1.5
 
 
 def _models():
@@ -191,9 +214,58 @@ def _run_predict_bench():
     return results
 
 
+def _exact_cases():
+    """(name, estimator factory, X, y) at the campaigns' exact-fit shapes."""
+    space = build_space()
+    rng = np.random.default_rng(SEED)
+    n = EXACT_SURROGATE_TRIALS
+    X = np.vstack([space.encode(space.sample(rng)) for _ in range(n)])
+    y = np.round(rng.uniform(0.4, 0.9, n), 3)
+    yield ("surrogate", lambda: RandomForestRegressor(
+        n_estimators=16, min_samples_leaf=2, max_features=0.8,
+        random_state=SEED), X, y)
+    for n, d in EXACT_GBM_SHAPES:
+        X, y = make_classification(n, d, 2, class_sep=1.0,
+                                   nonlinearity=0.3, random_state=SEED)
+        yield (f"GBM_{n}x{d}", lambda: GradientBoostingClassifier(
+            n_estimators=50, max_depth=3, random_state=SEED), X, y)
+
+
+def _tree_bytes(model) -> bytes:
+    trees = (model.estimators_ if hasattr(model, "estimators_")
+             else [t for stage in model.stages_ for t in stage])
+    return b"".join(getattr(t.tree_, name).tobytes() for t in trees
+                    for name in ("feature", "threshold", "left", "right",
+                                 "value", "depth"))
+
+
+def _run_exact_bench():
+    results = {}
+    for name, make, X, y in _exact_cases():
+        fast_s = slow_s = np.inf
+        for _ in range(EXACT_REPEATS):
+            with Stopwatch(WallClock()) as watch:
+                fast = make().fit(X, y)
+            fast_s = min(fast_s, watch.elapsed)
+            with per_feature_search(), Stopwatch(WallClock()) as watch:
+                slow = make().fit(X, y)
+            slow_s = min(slow_s, watch.elapsed)
+        assert _tree_bytes(fast) == _tree_bytes(slow), \
+            f"{name}: the row-wise search must grow the per-feature trees"
+        results[name] = {
+            "n_features": int(X.shape[1]),
+            "n_rows": int(X.shape[0]),
+            "per_feature_s": round(slow_s, 4),
+            "row_wise_s": round(fast_s, 4),
+            "speedup": round(slow_s / fast_s, 2),
+        }
+    return results
+
+
 def test_speed_models(benchmark):
-    results, predict = benchmark.pedantic(
-        lambda: (_run_models_bench(), _run_predict_bench()),
+    results, predict, exact = benchmark.pedantic(
+        lambda: (_run_models_bench(), _run_predict_bench(),
+                 _run_exact_bench()),
         rounds=1, iterations=1)
     path = write_bench_json("BENCH_models.json", {
         "config": {
@@ -215,6 +287,14 @@ def test_speed_models(benchmark):
                 "repeats": PREDICT_REPEATS,
             },
             "models": predict,
+        },
+        "exact": {
+            "config": {
+                "gbm_stages": 50,
+                "repeats": EXACT_REPEATS,
+                "surrogate_trees": 16,
+            },
+            "models": exact,
         },
     })
     rows = [
@@ -240,6 +320,12 @@ def test_speed_models(benchmark):
                                     f"per_tree_rows_per_s_{size}",
                                     f"speedup_{size}")]
               for name, r in predict.items()])
+         + "\n\nexact fit s, row-wise vs per-feature split search\n\n"
+         + format_table(
+             ["model", "rows", "cols", "row-wise s", "per-feature s", "x"],
+             [[name, str(r["n_rows"]), str(r["n_features"]),
+               f"{r['row_wise_s']:.3f}", f"{r['per_feature_s']:.3f}",
+               f"{r['speedup']:.1f}x"] for name, r in exact.items()])
          + f"\nwrote {path}")
     for name in ("RF", "GBM"):
         r = results[name]
@@ -254,3 +340,6 @@ def test_speed_models(benchmark):
         assert r["speedup_16"] >= MIN_PREDICT_SPEEDUP, \
             f"{name} compiled predict must stay >={MIN_PREDICT_SPEEDUP}x " \
             f"the per-tree loop at 16-row batches"
+    assert exact["surrogate"]["speedup"] >= MIN_EXACT_SPEEDUP, \
+        f"the row-wise exact search must stay >={MIN_EXACT_SPEEDUP}x " \
+        f"the per-feature scan on the BO surrogate"

@@ -162,7 +162,9 @@ class AdaBoostClassifier(CompiledTreesMixin, BaseEstimator,
             if alpha <= 0:
                 continue
             self.estimators_.append(tree)
-            self.estimator_weights_.append(alpha)
+            # a plain float: np.float64 entries pickle to different bytes
+            # after a round trip, which would move an artifact's id
+            self.estimator_weights_.append(float(alpha))
             w *= np.exp(alpha * miss)
             w /= w.sum()
             if err < 1e-9:

@@ -4,6 +4,10 @@ With ``binning`` enabled the forest quantizes the training matrix exactly
 once (one :class:`~repro.models.binning.FeatureBinner` per forest) and every
 tree fits on row-subsets of the same shared binned matrix — bootstrap
 resampling indexes uint8 codes instead of re-quantizing floats per tree.
+A random forest's trees grow level by level in lockstep
+(:func:`~repro.models.tree.fit_binned_many`), each bit-identical to a fit
+of its own; extra-trees draw their cuts per level chunk and grow one at a
+time.
 Prediction descends every tree at once through the forest's compiled
 :class:`~repro.models.tree.NodeTable`.
 """
@@ -20,6 +24,7 @@ from repro.models.tree import (
     DecisionTreeRegressor,
     NodeTable,
     accumulate,
+    fit_binned_many,
 )
 from repro.utils.rng import check_random_state, spawn_seeds
 from repro.utils.validation import check_is_fitted, check_X_y
@@ -60,20 +65,19 @@ class _BaseForest(CompiledTreesMixin, BaseEstimator):
             edges = binner.edges_
         else:
             Xb = edges = None
-        self.estimators_ = []
-        for seed in seeds:
-            tree = self._make_tree(seed)
-            if self.bootstrap:
-                idx = check_random_state(seed).integers(0, n, size=n)
-                if Xb is None:
-                    tree.fit(X[idx], y[idx])
+        self.estimators_ = [self._make_tree(seed) for seed in seeds]
+        samples = [check_random_state(seed).integers(0, n, size=n)
+                   if self.bootstrap else None for seed in seeds]
+        if Xb is not None:
+            fit_binned_many(self.estimators_, Xb, y, edges,
+                            [np.arange(n) if idx is None else idx
+                             for idx in samples])
+        else:
+            for tree, idx in zip(self.estimators_, samples):
+                if idx is None:
+                    tree.fit(X, y)
                 else:
-                    tree.fit_binned(Xb[idx], y[idx], edges)
-            elif Xb is None:
-                tree.fit(X, y)
-            else:
-                tree.fit_binned(Xb, y, edges)
-            self.estimators_.append(tree)
+                    tree.fit(X[idx], y[idx])
         self.n_features_in_ = X.shape[1]
 
     def inference_flops(self, n_samples: int) -> float:

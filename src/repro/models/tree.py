@@ -3,19 +3,36 @@
 These trees are the workhorse of the whole reproduction: they power the
 random forests, extra-trees, gradient boosting, the AutoGluon portfolio and
 the random-forest surrogate inside Bayesian optimization.  Two split-search
-kernels share one builder skeleton (preallocated flat node arrays plus an
-explicit work stack, after ivalice's ``_Tree``/``_Stack``):
+kernels fill the same preallocated flat node arrays (after ivalice's
+``_Tree``):
 
-- the **exact** kernel (``binning=None``, the default) sorts each candidate
-  feature per node and scans prefix sums over every distinct cut — the
-  historical path, kept bit-identical;
+- the **exact** kernel (``binning=None``, the default) scores every cut of
+  every candidate feature of a node in one array pass: the ``k`` drawn
+  columns are gathered as one C-contiguous ``(k, n)`` matrix, one stable
+  row-wise argsort orders them, and row-wise prefix sums (``y`` and
+  ``y**2`` for the regressor, a ``(k, n, classes)`` one-hot cumsum for the
+  classifier) give the gain of every admissible cut (the value changes,
+  both sides keep ``min_samples_leaf`` rows).  Its trees are bit-identical
+  to a scan of one feature at a time (the reference in
+  ``benchmarks/split_search_reference.py``) because: one ``rng.choice`` draw
+  per split attempt, in depth-first order; each row's parent impurity is
+  reduced along the contiguous last axis, so its pairwise sums run in
+  that feature's sort order (weighted fits evaluate each row's parent on
+  its own); the first maximal cut and then the first maximal feature
+  win, only above ``1e-12``, and a row whose best gain is NaN never
+  does; children list their rows in the winning feature's sort order,
+  the order their leaf values are summed in.  The random splitter
+  (extra-trees) scans its few candidates one at a time;
 - the **histogram** kernel (``binning=<max_bins>``) quantizes features once
   per fit into at most 255 ordinal codes (:class:`~repro.models.binning.
   FeatureBinner`) and searches splits via binned class-count/moment prefix
-  scans.  The stack is drained in level batches and every node of a level
-  is histogrammed by a single flat ``bincount`` keyed on ``(node, feature
+  scans.  Trees grow level by level and every node of a level is
+  histogrammed by a single flat ``bincount`` keyed on ``(node, feature
   slot, bin, class)``, so the per-node Python overhead that dominates deep
-  trees is amortized over the whole level.
+  trees is amortized over the whole level.  A random forest's trees share
+  each level batch (:func:`fit_binned_many`): one gather, one histogram
+  pass per chunk and one partition serve them all, and each tree is
+  bit-identical to a fit of its own.
 
 Prediction is compiled: :class:`NodeTable` concatenates the node arrays of
 every member tree of a fitted model, turns leaves into self-loops and finds
@@ -41,13 +58,18 @@ from repro.utils.validation import (
 )
 
 _LEAF = -1
-#: initial node/stack capacity; arrays double on demand
+#: initial node capacity; arrays double on demand
 _INITIAL_CAPACITY = 64
 #: denominators are clamped here so empty/zero-weight partitions score an
 #: impurity of 0 instead of dividing by zero (their gain is masked anyway)
 _TINY = 1e-300
-#: per-level histogram tensors are chunked to at most this many elements
+#: per-level histogram tensors are chunked to at most this many elements,
+#: and a lockstep batch of binned trees gathers at most this many
+#: candidate codes per level (a single tree may exceed it)
 _HIST_CHUNK_ELEMENTS = 2**23
+#: the exact search's per-node temporaries are chunked to at most this
+#: many elements, so that a large node's passes stay in cache
+_EXACT_CHUNK_ELEMENTS = 2**16
 
 
 class _Tree:
@@ -296,72 +318,6 @@ class CompiledTreesMixin:
         return state
 
 
-class _Stack:
-    """Preallocated LIFO of (node, start, end, depth) work items over the
-    in-place-partitioned row-index array (ivalice's ``_Stack``).  The
-    binned builder pushes both children of every split and drains the
-    whole stack per iteration, which makes each drained batch exactly one
-    tree level."""
-
-    __slots__ = ("node", "start", "end", "depth", "ptr")
-
-    def __init__(self, capacity: int = _INITIAL_CAPACITY):
-        capacity = max(int(capacity), 1)
-        self.node = np.zeros(capacity, dtype=np.int64)
-        self.start = np.zeros(capacity, dtype=np.int64)
-        self.end = np.zeros(capacity, dtype=np.int64)
-        self.depth = np.zeros(capacity, dtype=np.int64)
-        self.ptr = -1
-
-    def _reserve(self, n_extra: int) -> None:
-        need = self.ptr + 1 + n_extra
-        cap = len(self.node)
-        if need <= cap:
-            return
-        while cap < need:
-            cap *= 2
-        for name in ("node", "start", "end", "depth"):
-            old = getattr(self, name)
-            grown = np.empty(cap, dtype=np.int64)
-            grown[: self.ptr + 1] = old[: self.ptr + 1]
-            setattr(self, name, grown)
-
-    def push(self, node: int, start: int, end: int, depth: int) -> None:
-        self._reserve(1)
-        self.ptr += 1
-        self.node[self.ptr] = node
-        self.start[self.ptr] = start
-        self.end[self.ptr] = end
-        self.depth[self.ptr] = depth
-
-    def push_many(self, nodes, starts, ends, depths) -> None:
-        m = len(nodes)
-        self._reserve(m)
-        sl = slice(self.ptr + 1, self.ptr + 1 + m)
-        self.node[sl] = nodes
-        self.start[sl] = starts
-        self.end[sl] = ends
-        self.depth[sl] = depths
-        self.ptr += m
-
-    def pop(self) -> tuple[int, int, int, int]:
-        p = self.ptr
-        self.ptr -= 1
-        return (int(self.node[p]), int(self.start[p]),
-                int(self.end[p]), int(self.depth[p]))
-
-    def drain(self):
-        """Pop every pending item at once (one level batch)."""
-        m = self.ptr + 1
-        out = (self.node[:m].copy(), self.start[:m].copy(),
-               self.end[:m].copy(), self.depth[:m].copy())
-        self.ptr = -1
-        return out
-
-    def __bool__(self) -> bool:
-        return self.ptr >= 0
-
-
 def _resolve_max_features(max_features, n_features: int) -> int:
     if max_features is None:
         return n_features
@@ -403,8 +359,12 @@ class _BaseDecisionTree(BaseEstimator):
     def _leaf_value(self, y_node, w_node=None) -> np.ndarray:
         raise NotImplementedError
 
-    def _prefix_gains(self, y_sorted, cuts, n_node, w_sorted=None):
-        """Return impurity gain of (left, right) prefix splits per cut."""
+    def _prefix_gains(self, y_sorted, n_node, w_sorted=None):
+        """Impurity gain of every prefix split of every row: ``y_sorted``
+        (and ``w_sorted``) hold each candidate feature's node targets in
+        that feature's sort order, shape ``(rows, n_node)``; the result
+        has shape ``(rows, n_node - 1)``, column ``j`` the cut that sends
+        the first ``j + 1`` rows left."""
         raise NotImplementedError
 
     def _node_impurity(self, y_node, w_node=None) -> float:
@@ -433,15 +393,29 @@ class _BaseDecisionTree(BaseEstimator):
         """Trailing histogram dimension, for chunk-size budgeting."""
         raise NotImplementedError
 
+    def _binned_target(self, y, rows):
+        """The builder's target array for a fit on ``y[rows]``, indexed
+        like ``y``, and a key equal between trees whose targets code
+        alike; sets the fitted label state."""
+        raise NotImplementedError
+
     # -- fitting -----------------------------------------------------------
+    def fit_binned(self, Xb, y, edges, sample_weight=None):
+        """Fit from a pre-quantized code matrix and its bin ``edges``
+        (forests and boosting quantize once and fit many trees)."""
+        Xb = np.asarray(Xb)
+        w = check_sample_weight(sample_weight, Xb.shape[0])
+        fit_binned_many([self], Xb, y, edges, [np.arange(Xb.shape[0])], w)
+        return self
+
     def _fit_arrays(self, X: np.ndarray, y: np.ndarray,
                     sample_weight=None) -> None:
         w = check_sample_weight(sample_weight, X.shape[0])
         rng = check_random_state(self.random_state)
         if self.binning is not None:
             binner = FeatureBinner(self.binning).fit(X)
-            self._fit_binned_arrays(binner.transform(X), y,
-                                    binner.edges_, rng, w)
+            _grow_binned([self], [rng], [np.arange(X.shape[0])],
+                         binner.transform(X), y, binner.edges_, w)
         else:
             self._fit_exact_arrays(X, y, rng, w)
         self.n_features_in_ = X.shape[1]
@@ -449,6 +423,9 @@ class _BaseDecisionTree(BaseEstimator):
     def _fit_exact_arrays(self, X, y, rng, w) -> None:
         n_samples = X.shape[0]
         k = _resolve_max_features(self.max_features, X.shape[1])
+        # feature-major copy: a node's candidate columns gather into one
+        # C-contiguous (k, n) matrix
+        XT = np.ascontiguousarray(X.T)
         max_depth = self.max_depth if self.max_depth is not None else np.inf
 
         root_value = np.atleast_1d(self._leaf_value(y, w))
@@ -471,7 +448,7 @@ class _BaseDecisionTree(BaseEstimator):
                 or n_leaves + 1 > max_leaves
             ):
                 continue
-            split = self._best_split(X, y, idx, k, rng, w)
+            split = self._best_split(XT, y, idx, k, rng, w)
             if split is None:
                 continue
             feat, thr, left_idx, right_idx = split
@@ -488,215 +465,86 @@ class _BaseDecisionTree(BaseEstimator):
             stack.append((right, right_idx, depth + 1))
         tree.finalize()
 
-    def _fit_binned_arrays(self, Xb, y, edges, rng, w) -> None:
-        n_samples, n_features = Xb.shape
-        k = _resolve_max_features(self.max_features, n_features)
-        max_depth = self.max_depth if self.max_depth is not None else np.inf
-        n_bins = max((len(e) for e in edges), default=0) + 1
-
-        root_value = np.atleast_1d(self._leaf_value(y, w))
-        tree = _Tree(value_width=root_value.shape[0])
-        tree.binned = True
-        self.tree_ = tree
-        root = tree.add_node(root_value, 0)
-        if n_bins < 2 or n_samples < 2:
-            tree.finalize()
-            return
-        # padded (feature, bin) -> threshold lookup, gathered per split
-        edge_table = np.zeros((n_features, n_bins - 1))
-        for j, e in enumerate(edges):
-            edge_table[j, : len(e)] = e
-        # One shared row-index array, partitioned in place: each work item
-        # owns the contiguous segment [start, end).
-        indices = np.arange(n_samples)
-        stack = _Stack()
-        stack.push(root, 0, n_samples, 0)
-        n_leaves = 1
-        max_leaves = float(self.max_leaf_nodes or np.inf)
-        min_leaf = self.min_samples_leaf
-        min_split = max(self.min_samples_split, 2 * min_leaf, 2)
-        while stack:
-            nodes, starts, ends, depths = stack.drain()
-            sizes = ends - starts
-            live = (depths < max_depth) & (sizes >= min_split)
-            if n_leaves + 1 > max_leaves or not live.any():
-                continue
-            nodes, starts, ends, depths, sizes = (
-                nodes[live], starts[live], ends[live],
-                depths[live], sizes[live])
-            # Largest nodes first: similar-size nodes then share a chunk,
-            # so rank compression can shrink the histogram width of the
-            # small-node chunks; it also makes heavy nodes the priority
-            # order once the max_leaf_nodes budget runs out.
-            order = np.argsort(-sizes, kind="stable")
-            nodes, starts, ends, depths, sizes = (
-                nodes[order], starts[order], ends[order],
-                depths[order], sizes[order])
-            segs = [indices[s:e] for s, e in zip(starts, ends)]
-            rows = np.concatenate(segs)
-            block = np.repeat(np.arange(len(nodes)), sizes)
-            y_rows = y[rows]
-            w_rows = None if w is None else w[rows]
-            imp = self._node_impurities_batch(y_rows, w_rows, block,
-                                              len(nodes))
-            live = imp > 1e-12
-            if not live.any():
-                continue
-            if not live.all():
-                keep = live[block]
-                rows, y_rows = rows[keep], y_rows[keep]
-                w_rows = None if w is None else w_rows[keep]
-                nodes, starts, ends, depths, sizes, imp = (
-                    nodes[live], starts[live], ends[live], depths[live],
-                    sizes[live], imp[live])
-                block = np.repeat(np.arange(len(nodes)), sizes)
-            n_level = len(nodes)
-            if k < n_features:
-                # one feature subset per node, sampled without replacement
-                feats = np.argsort(rng.random((n_level, n_features)),
-                                   axis=1)[:, :k]
-                sub = Xb[rows[:, None], feats[block]]
-            else:
-                feats = None  # slots are features: skip the index gather
-                sub = Xb[rows]
-            nb = min(n_bins, int(sub.max()) + 1)
-            if nb < 2:
-                continue
-            slot = np.empty(n_level, dtype=np.int64)
-            tcut = np.empty(n_level, dtype=np.int64)
-            gain = np.empty(n_level)
-            row_off = np.concatenate(([0], np.cumsum(sizes)))
-            bounds = _chunk_bounds(sizes, k * self._hist_width(), nb,
-                                   _HIST_CHUNK_ELEMENTS)
-            for b0, b1 in zip(bounds[:-1], bounds[1:]):
-                r0, r1 = row_off[b0], row_off[b1]
-                sub_c = sub[r0:r1]
-                block_c = block[r0:r1] - b0
-                nb_c, dec = nb, None
-                if self.splitter == "best" and int(sizes[b0]) < nb:
-                    # small-node chunk: occupied bins << nb, so re-code
-                    # to dense local ranks and scan a narrow histogram
-                    # (random splits keep global bins: their cut draw is
-                    # uniform over the bin *range*, not occupied bins)
-                    sub_c, nb_c, codes_u, gstart = _rank_compress(
-                        sub_c, block_c, b1 - b0, k, nb)
-                    dec = (codes_u, gstart)
-                if nb_c < 2:
-                    slot[b0:b1] = 0
-                    tcut[b0:b1] = 0
-                    gain[b0:b1] = -np.inf
-                    continue
-                s_c, t_c, g_c = self._binned_splits_batch(
-                    sub_c, y_rows[r0:r1],
-                    None if w_rows is None else w_rows[r0:r1],
-                    block_c, sizes[b0:b1], imp[b0:b1], nb_c, rng)
-                if dec is not None:
-                    codes_u, gstart = dec
-                    t_c = codes_u[gstart[np.arange(b1 - b0) * k + s_c]
-                                  + t_c]
-                slot[b0:b1] = s_c
-                tcut[b0:b1] = t_c
-                gain[b0:b1] = g_c
-            do_split = gain > 1e-12
-            if np.isfinite(max_leaves):
-                # batch order is the priority order once the leaf budget
-                # runs out (the exact path's depth-first analogue)
-                do_split &= (n_leaves + np.cumsum(do_split)) <= max_leaves
-            chosen = np.flatnonzero(do_split)
-            n_leaves += len(chosen)
-            if len(chosen) == 0:
-                continue
-            # partition every split segment into [left | right] in place
-            go_left = (np.take_along_axis(
-                sub, slot[block][:, None], axis=1)[:, 0] <= tcut[block])
-            in_split = do_split[block]
-            rows_s = rows[in_split]
-            go_s = go_left[in_split]
-            block_s = block[in_split]
-            pos = np.concatenate([np.arange(s, e) for s, e in
-                                  zip(starts[chosen], ends[chosen])])
-            # stable sort on (node, side) keeps original row order within
-            # each child, matching the exact builder's boolean indexing
-            perm = np.argsort(2 * block_s + (~go_s), kind="stable")
-            indices[pos] = rows_s[perm]
-            n_left_node = np.bincount(
-                block_s, weights=go_s, minlength=n_level)[chosen]
-            mids = starts[chosen] + n_left_node.astype(np.int64)
-            # children: interleaved (left, right) ids with batched values
-            inv = np.full(n_level, -1, dtype=np.int64)
-            inv[chosen] = np.arange(len(chosen))
-            child = 2 * inv[block_s] + (~go_s)
-            values = self._leaf_values_batch(
-                y_rows[in_split],
-                None if w_rows is None else w_rows[in_split],
-                child, 2 * len(chosen))
-            kid_depths = np.repeat(depths[chosen] + 1, 2)
-            kids = tree.add_nodes(values, kid_depths)
-            left_ids, right_ids = kids[0::2], kids[1::2]
-            feat_sel = (slot[chosen] if feats is None
-                        else feats[chosen, slot[chosen]])
-            tree.feature[nodes[chosen]] = feat_sel
-            tree.threshold[nodes[chosen]] = edge_table[feat_sel,
-                                                       tcut[chosen]]
-            tree.bin_threshold[nodes[chosen]] = tcut[chosen]
-            tree.left[nodes[chosen]] = left_ids
-            tree.right[nodes[chosen]] = right_ids
-            stack.push_many(left_ids, starts[chosen], mids,
-                            depths[chosen] + 1)
-            stack.push_many(right_ids, mids, ends[chosen],
-                            depths[chosen] + 1)
-        tree.finalize()
-
     # -- split search: exact kernel ----------------------------------------
-    def _best_split(self, X, y, idx, k, rng, w=None):
-        n_features = X.shape[1]
+    def _best_split(self, XT, y, idx, k, rng, w=None):
+        """Best ``(feature, threshold, left rows, right rows)`` of one node,
+        or ``None``; ``XT`` is the feature-major training matrix.
+
+        One draw of ``k`` candidate features per call.  The ``"best"``
+        splitter scores every cut of every candidate in one pass (see the
+        module docstring): each row takes its first maximal admissible
+        cut, the node its first maximal row in draw order, kept only above
+        ``1e-12``.  Candidates are chunked so that no temporary exceeds
+        ``_EXACT_CHUNK_ELEMENTS``; chunk winners merge in draw order with
+        the same strict ``>``.
+        """
+        n_features = XT.shape[0]
         features = (
             rng.choice(n_features, size=k, replace=False)
             if k < n_features
             else np.arange(n_features)
         )
+        if self.splitter == "random":
+            return self._random_split(XT, y, idx, features, rng, w)
+        n_node = len(idx)
+        cuts = np.arange(1, n_node)
+        in_window = ((cuts >= self.min_samples_leaf)
+                     & (cuts <= n_node - self.min_samples_leaf))
+        step = max(1, _EXACT_CHUNK_ELEMENTS // (n_node * self._hist_width()))
+        best_gain = 1e-12
+        best = None
+        for f0 in range(0, k, step):
+            feats = features[f0:f0 + step, None]
+            order = np.argsort(XT[feats, idx], axis=1, kind="stable")
+            rows = idx[order]  # each row's node rows in its sort order
+            v_sorted = XT[feats, rows]
+            gains = self._prefix_gains(y[rows], n_node,
+                                       None if w is None else w[rows])
+            gains = np.where((v_sorted[:, 1:] > v_sorted[:, :-1]) & in_window,
+                             gains, -np.inf)
+            at = gains.argmax(axis=1)  # a row's first NaN beats any number
+            row_gain = gains[np.arange(len(feats)), at]
+            f = int(np.argmax(np.where(np.isnan(row_gain), -np.inf,
+                                       row_gain)))
+            if row_gain[f] > best_gain:
+                cut = int(at[f]) + 1
+                thr = 0.5 * (v_sorted[f, cut - 1] + v_sorted[f, cut])
+                best_gain = float(row_gain[f])
+                best = (int(feats[f, 0]), float(thr), rows[f, :cut].copy(),
+                        rows[f, cut:].copy())
+        return best
+
+    def _random_split(self, XT, y, idx, features, rng, w=None):
+        """Extra-trees split: one uniform threshold per candidate feature,
+        drawn and scored in draw order."""
         best_gain = 1e-12
         best = None
         n_node = len(idx)
         min_leaf = self.min_samples_leaf
+        y_node = y[idx]
         w_idx = None if w is None else w[idx]
         for feat in features:
-            values = X[idx, feat]
-            if self.splitter == "random":
-                lo, hi = values.min(), values.max()
-                if hi <= lo:
-                    continue
-                thr = rng.uniform(lo, hi)
-                mask = values <= thr
-                n_left = int(mask.sum())
-                if n_left < min_leaf or n_node - n_left < min_leaf:
-                    continue
-                gain = self._split_gain_for_mask(y[idx], mask, w_idx)
-                if gain > best_gain:
-                    best_gain = gain
-                    best = (int(feat), float(thr), idx[mask], idx[~mask])
+            values = XT[feat, idx]
+            lo, hi = values.min(), values.max()
+            if hi <= lo:
                 continue
-            order = np.argsort(values, kind="stable")
-            v_sorted = values[order]
-            y_sorted = y[idx[order]]
-            # Candidate cuts: positions where the feature value changes.
-            diff = np.flatnonzero(v_sorted[1:] > v_sorted[:-1]) + 1
-            if len(diff) == 0:
+            thr = rng.uniform(lo, hi)
+            mask = values <= thr
+            n_left = int(mask.sum())
+            if n_left < min_leaf or n_node - n_left < min_leaf:
                 continue
-            cuts = diff[(diff >= min_leaf) & (diff <= n_node - min_leaf)]
-            if len(cuts) == 0:
-                continue
-            w_sorted = None if w_idx is None else w_idx[order]
-            gains = self._prefix_gains(y_sorted, cuts, n_node, w_sorted)
-            j = int(np.argmax(gains))
-            if gains[j] > best_gain:
-                cut = int(cuts[j])
-                thr = 0.5 * (v_sorted[cut - 1] + v_sorted[cut])
-                left_sel = order[:cut]
-                right_sel = order[cut:]
-                best_gain = float(gains[j])
-                best = (int(feat), float(thr), idx[left_sel], idx[right_sel])
+            gain = self._split_gain_for_mask(y_node, mask, w_idx)
+            if gain > best_gain:
+                best_gain = gain
+                best = (int(feat), float(thr), idx[mask], idx[~mask])
         return best
+
+    def _weighted_parents(self, y_sorted, w_sorted) -> np.ndarray:
+        """Weighted parent impurity of every row's sort order, as a
+        ``(rows, 1)`` column: the weighted sums run in row order, so each
+        row keeps its own value."""
+        return np.array([self._node_impurity(ys, ws)
+                         for ys, ws in zip(y_sorted, w_sorted)])[:, None]
 
     # -- prediction helpers ------------------------------------------------
     def get_depth(self) -> int:
@@ -772,6 +620,243 @@ def _rank_compress(sub_c, block_c, n_blocks, k, nb):
     return local, width, (uniq % nb).astype(np.int64), gstart
 
 
+def _ranges(starts, sizes):
+    """The ranges ``arange(s, s + n)`` of every (start, size) pair, one
+    after another, without a Python loop over the pairs."""
+    ends = np.cumsum(sizes)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(starts - ends + sizes, sizes) + np.arange(total)
+
+
+def fit_binned_many(trees, Xb, y, edges, samples, w=None) -> None:
+    """Fit the histogram-kernel ``trees`` on row subsets of one shared code
+    matrix: ``trees[i]`` fits on rows ``samples[i]`` of ``Xb`` / ``y``
+    (/ ``w``) as if given ``Xb[samples[i]]`` alone.
+
+    Best-split trees whose targets code alike grow level by level in
+    lockstep, in batches sized to the histogram budget (a forest's
+    bootstrap can miss a class; such a tree codes its labels apart and
+    grows with its own kind).  Random-split trees draw their cuts per
+    level chunk, so each grows on its own.
+    """
+    groups = {}
+    for tree, rows in zip(trees, samples):
+        target, key = tree._binned_target(y, rows)
+        if tree.splitter != "best":
+            key = ("alone", len(groups))
+        members = groups.setdefault(key, ([], [], target))
+        members[0].append(tree)
+        members[1].append(rows)
+    for group, rows, target in groups.values():
+        # a level gathers k codes for every row of every tree it grows:
+        # batch the trees so that this stays within the histogram budget
+        k = _resolve_max_features(group[0].max_features, Xb.shape[1])
+        step = max(1, _HIST_CHUNK_ELEMENTS
+                   // max(1, k * max(len(r) for r in rows)))
+        for i in range(0, len(group), step):
+            batch = group[i:i + step]
+            rngs = [check_random_state(tree.random_state) for tree in batch]
+            _grow_binned(batch, rngs, rows[i:i + step], Xb, target, edges, w)
+        for tree in group:
+            tree.n_features_in_ = Xb.shape[1]
+
+
+def _grow_binned(trees, rngs, samples, Xb, y, edges, w) -> None:
+    """Grow ``trees`` with the histogram kernel, all levels in lockstep.
+
+    ``trees[0]`` supplies the hyper-parameters and kernels shared by every
+    tree; ``trees[i]`` fits on rows ``samples[i]`` and draws from
+    ``rngs[i]``.  A level batch holds the frontier nodes of every tree, so
+    one gather, one histogram pass per chunk and one partition serve the
+    whole forest.  Each tree still comes out as if grown alone: it draws
+    its per-level feature subsets from its own generator, for its own
+    nodes in their batch order; its leaf budget is its own; and every
+    reduction (class counts, moments, prefix scans, leaf values) runs over
+    one node's rows in their partition order, which rank compression and
+    the chunking do not change.
+    """
+    est = trees[0]
+    Xb = np.ascontiguousarray(Xb)
+    n_features = Xb.shape[1]
+    k = _resolve_max_features(est.max_features, n_features)
+    max_depth = est.max_depth if est.max_depth is not None else np.inf
+    n_bins = max((len(e) for e in edges), default=0) + 1
+    built = []
+    for tree_est, rows in zip(trees, samples):
+        root_value = np.atleast_1d(tree_est._leaf_value(
+            y[rows], None if w is None else w[rows]))
+        tree = _Tree(value_width=root_value.shape[0])
+        tree.binned = True
+        tree.add_node(root_value, 0)
+        tree_est.tree_ = tree
+        built.append(tree)
+    # padded (feature, bin) -> threshold lookup, gathered per split
+    edge_table = np.zeros((n_features, n_bins - 1))
+    for j, e in enumerate(edges):
+        edge_table[j, : len(e)] = e
+    # One shared row-index array, partitioned in place: tree i's rows
+    # start as its own segment, and each frontier node owns the
+    # contiguous segment [start, end) of its rows.
+    indices = np.concatenate([np.asarray(r, dtype=np.int64)
+                              for r in samples])
+    bounds = np.concatenate(([0], np.cumsum([len(r) for r in samples])))
+    tid = np.flatnonzero((np.diff(bounds) >= 2) & (n_bins >= 2))
+    nodes = np.zeros(len(tid), dtype=np.int64)
+    starts, ends = bounds[tid], bounds[tid + 1]
+    depths = np.zeros(len(tid), dtype=np.int64)
+    n_leaves = np.ones(len(trees), dtype=np.int64)
+    max_leaves = float(est.max_leaf_nodes or np.inf)
+    min_leaf = est.min_samples_leaf
+    min_split = max(est.min_samples_split, 2 * min_leaf, 2)
+    while len(nodes):
+        sizes = ends - starts
+        live = np.flatnonzero((depths < max_depth) & (sizes >= min_split)
+                              & (n_leaves[tid] + 1 <= max_leaves))
+        if not len(live):
+            break
+        # Largest nodes first: similar-size nodes then share a chunk,
+        # so rank compression can shrink the histogram width of the
+        # small-node chunks; it also makes heavy nodes the priority
+        # order once the max_leaf_nodes budget runs out.
+        order = live[np.argsort(-sizes[live], kind="stable")]
+        tid, nodes, starts, ends, depths, sizes = (
+            tid[order], nodes[order], starts[order], ends[order],
+            depths[order], sizes[order])
+        rows = indices[_ranges(starts, sizes)]
+        block = np.repeat(np.arange(len(nodes)), sizes)
+        y_rows = y[rows]
+        w_rows = None if w is None else w[rows]
+        imp = est._node_impurities_batch(y_rows, w_rows, block, len(nodes))
+        live = imp > 1e-12
+        if not live.all():
+            keep = live[block]
+            rows, y_rows = rows[keep], y_rows[keep]
+            w_rows = None if w is None else w_rows[keep]
+            tid, nodes, starts, ends, depths, sizes, imp = (
+                tid[live], nodes[live], starts[live], ends[live],
+                depths[live], sizes[live], imp[live])
+            block = np.repeat(np.arange(len(nodes)), sizes)
+        n_level = len(nodes)
+        if not n_level:
+            break
+        if k < n_features:
+            # one feature subset per node, sampled without replacement
+            # from the node's own tree's generator
+            feats = np.empty((n_level, k), dtype=np.int64)
+            for t in np.unique(tid):
+                mine = tid == t
+                feats[mine] = np.argsort(
+                    rngs[t].random((int(mine.sum()), n_features)),
+                    axis=1)[:, :k]
+            # flat gather: one 1-D take, faster than 2-D fancy indexing
+            sub = Xb.ravel()[rows[:, None] * n_features + feats[block]]
+        else:
+            feats = None  # slots are features: skip the index gather
+            sub = Xb[rows]
+        nb = min(n_bins, int(sub.max()) + 1)
+        if nb < 2:
+            break
+        slot = np.empty(n_level, dtype=np.int64)
+        tcut = np.empty(n_level, dtype=np.int64)
+        gain = np.empty(n_level)
+        row_off = np.concatenate(([0], np.cumsum(sizes)))
+        chunks = _chunk_bounds(sizes, k * est._hist_width(), nb,
+                               _HIST_CHUNK_ELEMENTS)
+        for b0, b1 in zip(chunks[:-1], chunks[1:]):
+            r0, r1 = row_off[b0], row_off[b1]
+            sub_c = sub[r0:r1]
+            block_c = block[r0:r1] - b0
+            nb_c, dec = nb, None
+            if est.splitter == "best" and int(sizes[b0]) < nb:
+                # small-node chunk: occupied bins << nb, so re-code
+                # to dense local ranks and scan a narrow histogram
+                # (random splits keep global bins: their cut draw is
+                # uniform over the bin *range*, not occupied bins)
+                sub_c, nb_c, codes_u, gstart = _rank_compress(
+                    sub_c, block_c, b1 - b0, k, nb)
+                dec = (codes_u, gstart)
+            if nb_c < 2:
+                slot[b0:b1] = 0
+                tcut[b0:b1] = 0
+                gain[b0:b1] = -np.inf
+                continue
+            s_c, t_c, g_c = est._binned_splits_batch(
+                sub_c, y_rows[r0:r1],
+                None if w_rows is None else w_rows[r0:r1],
+                block_c, sizes[b0:b1], imp[b0:b1], nb_c, rngs[0])
+            if dec is not None:
+                codes_u, gstart = dec
+                t_c = codes_u[gstart[np.arange(b1 - b0) * k + s_c] + t_c]
+            slot[b0:b1] = s_c
+            tcut[b0:b1] = t_c
+            gain[b0:b1] = g_c
+        do_split = gain > 1e-12
+        if np.isfinite(max_leaves):
+            # each tree's batch order is its priority order once its
+            # leaf budget runs out (the exact path's depth-first analogue)
+            for t in np.unique(tid):
+                mine = np.flatnonzero(tid == t)
+                d = do_split[mine]
+                do_split[mine] = d & (n_leaves[t] + np.cumsum(d)
+                                      <= max_leaves)
+        chosen = np.flatnonzero(do_split)
+        if not len(chosen):
+            break
+        tid_c = tid[chosen]
+        n_leaves += np.bincount(tid_c, minlength=len(trees))
+        # partition every split segment into [left | right] in place
+        go_left = (np.take_along_axis(
+            sub, slot[block][:, None], axis=1)[:, 0] <= tcut[block])
+        in_split = do_split[block]
+        rows_s = rows[in_split]
+        go_s = go_left[in_split]
+        block_s = block[in_split]
+        # stable sort on (node, side) keeps original row order within
+        # each child, matching the exact builder's boolean indexing
+        perm = np.argsort(2 * block_s + (~go_s), kind="stable")
+        indices[_ranges(starts[chosen], sizes[chosen])] = rows_s[perm]
+        n_left_node = np.bincount(
+            block_s, weights=go_s, minlength=n_level)[chosen]
+        mids = starts[chosen] + n_left_node.astype(np.int64)
+        # children: interleaved (left, right) ids with batched values
+        inv = np.full(n_level, -1, dtype=np.int64)
+        inv[chosen] = np.arange(len(chosen))
+        child = 2 * inv[block_s] + (~go_s)
+        values = est._leaf_values_batch(
+            y_rows[in_split],
+            None if w_rows is None else w_rows[in_split],
+            child, 2 * len(chosen))
+        kid_depths = depths[chosen] + 1
+        feat_sel = (slot[chosen] if feats is None
+                    else feats[chosen, slot[chosen]])
+        cut_sel = tcut[chosen]
+        threshold = edge_table[feat_sel, cut_sel]
+        parents = nodes[chosen]
+        left_ids = np.empty(len(chosen), dtype=np.int64)
+        right_ids = np.empty(len(chosen), dtype=np.int64)
+        for t in np.unique(tid_c):
+            mine = np.flatnonzero(tid_c == t)
+            tree = built[t]
+            kids = tree.add_nodes(
+                values[(2 * mine[:, None] + np.arange(2)).ravel()],
+                np.repeat(kid_depths[mine], 2))
+            left_ids[mine], right_ids[mine] = kids[0::2], kids[1::2]
+            at = parents[mine]
+            tree.feature[at] = feat_sel[mine]
+            tree.threshold[at] = threshold[mine]
+            tree.bin_threshold[at] = cut_sel[mine]
+            tree.left[at] = kids[0::2]
+            tree.right[at] = kids[1::2]
+        # next frontier: every left child, then every right child
+        tid = np.concatenate((tid_c, tid_c))
+        nodes = np.concatenate((left_ids, right_ids))
+        starts = np.concatenate((starts[chosen], mids))
+        ends = np.concatenate((mids, ends[chosen]))
+        depths = np.concatenate((kid_depths, kid_depths))
+    for tree in built:
+        tree.finalize()
+
+
 class DecisionTreeClassifier(_BaseDecisionTree, ClassifierMixin):
     """CART classifier with gini or entropy impurity."""
 
@@ -794,17 +879,11 @@ class DecisionTreeClassifier(_BaseDecisionTree, ClassifierMixin):
         self._fit_arrays(X, codes, sample_weight)
         return self
 
-    def fit_binned(self, Xb, y, edges, sample_weight=None):
-        """Fit from a pre-quantized code matrix and its bin ``edges``
-        (the shared-forest fast path: quantize once, fit many trees)."""
-        Xb = np.asarray(Xb)
-        codes = self._encode_labels(np.asarray(y))
+    def _binned_target(self, y, rows):
+        self._encode_labels(np.asarray(y)[rows])
         self._n_classes = len(self.classes_)
-        w = check_sample_weight(sample_weight, Xb.shape[0])
-        rng = check_random_state(self.random_state)
-        self._fit_binned_arrays(Xb, codes, edges, rng, w)
-        self.n_features_in_ = Xb.shape[1]
-        return self
+        return (np.searchsorted(self.classes_, y),
+                (self.classes_.dtype.str, self.classes_.tobytes()))
 
     def _leaf_value(self, y_node, w_node=None) -> np.ndarray:
         if w_node is None:
@@ -835,36 +914,38 @@ class DecisionTreeClassifier(_BaseDecisionTree, ClassifierMixin):
             return float(-np.sum(nz * np.log2(nz)))
         return float(1.0 - np.sum(p**2))
 
-    def _prefix_gains(self, y_sorted, cuts, n_node,
-                      w_sorted=None) -> np.ndarray:
-        onehot = np.zeros((n_node, self._n_classes))
-        onehot[np.arange(n_node), y_sorted] = 1.0
+    def _prefix_gains(self, y_sorted, n_node, w_sorted=None) -> np.ndarray:
+        n_rows = len(y_sorted)
+        onehot = np.zeros((n_rows, n_node, self._n_classes))
+        onehot[np.arange(n_rows)[:, None], np.arange(n_node), y_sorted] = 1.0
         if w_sorted is not None:
-            onehot *= w_sorted[:, None]
-        cum = np.cumsum(onehot, axis=0)
-        left = cum[cuts - 1]                     # counts in left child per cut
-        total = cum[-1]
+            onehot *= w_sorted[:, :, None]
+        cum = np.cumsum(onehot, axis=1)
+        left = cum[:, :-1]          # class mass left of each cut
+        total = cum[:, -1:]
         right = total - left
         if w_sorted is None:
-            n_left = cuts.astype(float)
+            n_left = np.arange(1.0, n_node)
             n_right = n_node - n_left
             n_total = float(n_node)
+            # integer class counts: every sort order has the same parent
+            parent = self._node_impurity(y_sorted[0])
         else:
-            n_left = np.maximum(left.sum(axis=1), _TINY)
-            n_right = np.maximum(right.sum(axis=1), _TINY)
-            n_total = max(float(total.sum()), _TINY)
+            n_left = np.maximum(left.sum(axis=2), _TINY)
+            n_right = np.maximum(right.sum(axis=2), _TINY)
+            n_total = np.maximum(total.sum(axis=2), _TINY)
+            parent = self._weighted_parents(y_sorted, w_sorted)
         if self.criterion == "entropy":
             def _h(counts, n):
-                p = counts / n[:, None]
+                p = counts / n[..., None]
                 with np.errstate(divide="ignore", invalid="ignore"):
                     logp = np.where(p > 0, np.log2(np.maximum(p, 1e-300)), 0.0)
-                return -np.sum(p * logp, axis=1)
+                return -np.sum(p * logp, axis=2)
             imp_left = _h(left, n_left)
             imp_right = _h(right, n_right)
         else:
-            imp_left = 1.0 - np.sum((left / n_left[:, None]) ** 2, axis=1)
-            imp_right = 1.0 - np.sum((right / n_right[:, None]) ** 2, axis=1)
-        parent = self._node_impurity(y_sorted, w_sorted)
+            imp_left = 1.0 - np.sum((left / n_left[..., None]) ** 2, axis=2)
+            imp_right = 1.0 - np.sum((right / n_right[..., None]) ** 2, axis=2)
         child = (n_left * imp_left + n_right * imp_right) / n_total
         return parent - child
 
@@ -981,12 +1062,16 @@ class DecisionTreeClassifier(_BaseDecisionTree, ClassifierMixin):
             slot = gains.argmax(axis=1)
             ar = np.arange(n_blocks)
             return slot, t[ar, slot], gains[ar, slot]
-        # Flat (node, slot, bin, class) histogram in one bincount pass.
-        key = ((slotkey * n_bins + sub) * kc + y_rows[:, None]).ravel()
+        # Flat (node, slot, bin, class) histogram in one bincount pass;
+        # the row counts per (node, slot, bin) come from their own pass,
+        # cheaper than summing the short class axis
+        keyb = slotkey * n_bins + sub
+        key = (keyb * kc + y_rows[:, None]).ravel()
         size = n_blocks * k * n_bins * kc
         counts = np.bincount(key, minlength=size) \
             .reshape(n_blocks, k, n_bins, kc)
-        n_left = counts.sum(axis=3).cumsum(axis=2)[:, :, :-1]
+        n_left = np.bincount(keyb.ravel(), minlength=size // kc) \
+            .reshape(n_blocks, k, n_bins).cumsum(axis=2)[:, :, :-1]
         if w_rows is None:
             tot = np.bincount(block * kc + y_rows,
                               minlength=n_blocks * kc) \
@@ -1064,16 +1149,8 @@ class DecisionTreeRegressor(_BaseDecisionTree, RegressorMixin):
         self._fit_arrays(X, y, sample_weight)
         return self
 
-    def fit_binned(self, Xb, y, edges, sample_weight=None):
-        """Fit from a pre-quantized code matrix and its bin ``edges``
-        (boosting reuses one binned matrix across rounds and classes)."""
-        Xb = np.asarray(Xb)
-        y = np.asarray(y, dtype=float).ravel()
-        w = check_sample_weight(sample_weight, Xb.shape[0])
-        rng = check_random_state(self.random_state)
-        self._fit_binned_arrays(Xb, y, edges, rng, w)
-        self.n_features_in_ = Xb.shape[1]
-        return self
+    def _binned_target(self, y, rows):
+        return np.asarray(y, dtype=float).ravel(), None
 
     def _leaf_value(self, y_node, w_node=None) -> np.ndarray:
         if w_node is not None:
@@ -1093,28 +1170,30 @@ class DecisionTreeRegressor(_BaseDecisionTree, RegressorMixin):
         mean = np.dot(w_node, y_node) / total
         return float(np.dot(w_node, (y_node - mean) ** 2) / total)
 
-    def _prefix_gains(self, y_sorted, cuts, n_node,
-                      w_sorted=None) -> np.ndarray:
+    def _prefix_gains(self, y_sorted, n_node, w_sorted=None) -> np.ndarray:
         if w_sorted is None:
-            cum = np.cumsum(y_sorted)
-            cum2 = np.cumsum(y_sorted**2)
-            n_left = cuts.astype(float)
+            cum = np.cumsum(y_sorted, axis=1)
+            cum2 = np.cumsum(y_sorted**2, axis=1)
+            n_left = np.arange(1.0, n_node)
             n_right = n_node - n_left
             n_total = float(n_node)
+            # np.var along the contiguous last axis: each row gets the
+            # pairwise sums of a 1-D var of its own sort order
+            parent = np.var(y_sorted, axis=1)[:, None]
         else:
-            cumw = np.cumsum(w_sorted)
-            cum = np.cumsum(w_sorted * y_sorted)
-            cum2 = np.cumsum(w_sorted * y_sorted**2)
-            n_left = np.maximum(cumw[cuts - 1], _TINY)
-            n_right = np.maximum(cumw[-1] - n_left, _TINY)
-            n_total = max(float(cumw[-1]), _TINY)
-        sum_left = cum[cuts - 1]
-        sum2_left = cum2[cuts - 1]
-        sum_right = cum[-1] - sum_left
-        sum2_right = cum2[-1] - sum2_left
+            cumw = np.cumsum(w_sorted, axis=1)
+            cum = np.cumsum(w_sorted * y_sorted, axis=1)
+            cum2 = np.cumsum(w_sorted * y_sorted**2, axis=1)
+            n_left = np.maximum(cumw[:, :-1], _TINY)
+            n_right = np.maximum(cumw[:, -1:] - n_left, _TINY)
+            n_total = np.maximum(cumw[:, -1:], _TINY)
+            parent = self._weighted_parents(y_sorted, w_sorted)
+        sum_left = cum[:, :-1]
+        sum2_left = cum2[:, :-1]
+        sum_right = cum[:, -1:] - sum_left
+        sum2_right = cum2[:, -1:] - sum2_left
         var_left = sum2_left / n_left - (sum_left / n_left) ** 2
         var_right = sum2_right / n_right - (sum_right / n_right) ** 2
-        parent = self._node_impurity(y_sorted, w_sorted)
         child = (n_left * var_left + n_right * var_right) / n_total
         return parent - child
 

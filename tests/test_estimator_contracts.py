@@ -168,6 +168,12 @@ class TestCompiledTreeState:
         copy = pickle.loads(before)
         assert _outputs(copy, X_te).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("name", sorted(TREE_ENSEMBLES))
+    def test_pickle_round_trip_is_byte_stable(self, name, split_binary):
+        X_tr, _, y_tr, _ = split_binary
+        payload = pickle.dumps(TREE_ENSEMBLES[name](X_tr, y_tr))
+        assert pickle.dumps(pickle.loads(payload)) == payload
+
     @pytest.mark.parametrize(
         "name", sorted(set(TREE_ENSEMBLES) - {"DistilledModel"}))
     def test_second_fit_predicts_like_a_fresh_model(self, name,

@@ -3,8 +3,12 @@
 The binned builder is opt-in (``binning=<max_bins>``); ``binning=None``
 must leave the exact sort-based path bit-identical, and the binned path
 must agree with the exact path up to quantization tolerance while
-honouring ``min_samples_leaf`` exactly.
+honouring ``min_samples_leaf`` exactly.  A binned random forest grows its
+trees in lockstep, and each must equal the tree grown alone.
 """
+
+import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from repro.models import (
     FeatureBinner,
     GradientBoostingClassifier,
     RandomForestClassifier,
+    RandomForestRegressor,
 )
 
 FAST = settings(max_examples=25, deadline=None)
@@ -235,3 +240,109 @@ class TestCachedDepth:
             t = tree.tree_
             walked = int(t.depth[: t.n_nodes].max())
             assert t.max_depth() == walked
+
+
+def _one_at_a_time(trees, Xb, y, edges, samples):
+    """The forest's former binned loop: each tree fits its own copy of
+    its sample rows, alone."""
+    for tree, rows in zip(trees, samples):
+        tree.fit_binned(Xb[rows], y[rows], edges)
+
+
+_TREE_ARRAYS = ("feature", "threshold", "bin_threshold", "left", "right",
+                "value", "depth")
+
+
+def _assert_lockstep_equals_alone(make, X, y):
+    together = make().fit(X, y)
+    with mock.patch("repro.models.forest.fit_binned_many", _one_at_a_time):
+        alone = make().fit(X, y)
+    assert len(together.estimators_) == len(alone.estimators_)
+    for i, (a, b) in enumerate(zip(together.estimators_, alone.estimators_)):
+        assert a.tree_.n_nodes == b.tree_.n_nodes, f"tree {i}: node count"
+        assert a.tree_.max_depth_ == b.tree_.max_depth_, f"tree {i}: depth"
+        for name in _TREE_ARRAYS:
+            assert getattr(a.tree_, name).tobytes() \
+                == getattr(b.tree_, name).tobytes(), f"tree {i}: {name}"
+    assert pickle.dumps(together) == pickle.dumps(alone)
+    return together
+
+
+class TestLockstepForest:
+    """Every tree of a lockstep forest equals the same tree grown alone:
+    same feature draws, same leaf budget, same node ids and values."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        {"max_features": None},
+        {"max_depth": 4},
+        {"min_samples_leaf": 3, "min_samples_split": 9},
+        {"max_leaf_nodes": 9},
+        {"max_leaf_nodes": 40, "max_features": 0.5},
+        {"bootstrap": False},
+    ])
+    @pytest.mark.parametrize("binning", [255, 8])
+    def test_classifier(self, kwargs, binning):
+        X, y = _data(400, d=10, k=3, seed=7)
+        X[:, 0] = np.round(X[:, 0])  # few distinct values
+        X[:, 1] = 0.5  # constant column
+        _assert_lockstep_equals_alone(lambda: RandomForestClassifier(
+            n_estimators=6, random_state=3, binning=binning, **kwargs), X, y)
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"max_features": 0.8, "min_samples_leaf": 2},
+        {"max_leaf_nodes": 12},
+    ])
+    def test_regressor(self, kwargs):
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(300, 8))
+        X[:, ::2] = np.round(X[:, ::2])
+        y = X[:, 1] - 0.5 * X[:, 2] + rng.normal(scale=0.3, size=300)
+        _assert_lockstep_equals_alone(lambda: RandomForestRegressor(
+            n_estimators=5, random_state=4, binning=64, **kwargs), X, y)
+
+    def test_a_bootstrap_that_misses_a_class(self):
+        """A tree whose bootstrap lacks a class codes its labels apart,
+        so it grows with its own kind, not with the others."""
+        X, y = _data(60, d=4, k=2, seed=5)
+        y = y.copy()
+        y[:2] = 2  # a class of two rows: some bootstraps miss it
+        model = _assert_lockstep_equals_alone(lambda: RandomForestClassifier(
+            n_estimators=9, random_state=0, binning=255), X, y)
+        widths = {len(t.classes_) for t in model.estimators_}
+        assert widths == {2, 3}
+
+    def test_memory_budget_splits_the_forest_into_batches(self):
+        """A budget below one level of the whole forest grows the trees
+        in batches of one or two; each is still the tree grown alone."""
+        X, y = _data(200, d=9, k=3, seed=6)
+        with mock.patch("repro.models.tree._HIST_CHUNK_ELEMENTS", 1500):
+            _assert_lockstep_equals_alone(lambda: RandomForestClassifier(
+                n_estimators=5, random_state=2, binning=64), X, y)
+
+    def test_extra_trees_still_grow_alone(self):
+        X, y = _data(300, d=6, k=3, seed=8)
+        _assert_lockstep_equals_alone(lambda: ExtraTreesClassifier(
+            n_estimators=4, random_state=1, binning=32), X, y)
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 80),
+        d=st.integers(1, 5),
+        n_classes=st.integers(2, 4),
+        max_bins=st.integers(2, 40),
+        max_features=st.sampled_from([None, "sqrt", 0.7]),
+        max_leaf_nodes=st.sampled_from([None, 3, 10]),
+        min_samples_leaf=st.integers(1, 3),
+    )
+    @FAST
+    def test_random_shapes(self, seed, n, d, n_classes, max_bins,
+                           max_features, max_leaf_nodes, min_samples_leaf):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 5, size=(n, d)).astype(float)
+        y = rng.integers(0, n_classes, n)
+        _assert_lockstep_equals_alone(lambda: RandomForestClassifier(
+            n_estimators=4, max_features=max_features,
+            max_leaf_nodes=max_leaf_nodes,
+            min_samples_leaf=min_samples_leaf, random_state=seed,
+            binning=max_bins), X, y)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import load_dataset
+from repro.models import AdaBoostClassifier
 from repro.serving import (
     ArtifactManifest,
     ArtifactStore,
@@ -98,6 +99,22 @@ class TestContentAddressing:
         first = _save_stub(store)
         second = _save_stub(store)
         assert first.artifact_id == second.artifact_id
+        assert len(store) == 1
+
+    def test_resaving_a_loaded_adaboost_keeps_its_id(self, store):
+        """A model read back from the store saves to the same payload
+        bytes, so re-exporting it dedups instead of forking the id."""
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(120, 4))
+        y = (X[:, 0] + 0.3 * rng.normal(size=120) > 0).astype(int)
+        model = AdaBoostClassifier(n_estimators=5, random_state=0).fit(X, y)
+        identity = dict(system="AutoGluon", variant="ensemble",
+                        dataset_fingerprint="cafe0123cafe0123",
+                        accuracy=0.9)
+        first = store.save(model, **identity)
+        loaded = store.load(first.artifact_id)
+        again = store.save(loaded.model, **identity)
+        assert again.artifact_id == first.artifact_id
         assert len(store) == 1
 
     def test_sharded_layout(self, store):
