@@ -19,11 +19,15 @@ member order), asserting that both return the same bytes.
 The ``exact`` section times exact fits at campaign shapes: the BO
 surrogate (a 16-tree ``RandomForestRegressor`` on 157 encoded
 configurations of the 28-column search space) and 50-stage gradient
-boosting on 325x5 and 229x20.  Each fit runs with the row-wise search
-(one sort and one prefix scan over all candidate features of a node) and
-with the per-feature scan it replaced (``split_search_reference.py``,
-also the reference of ``tests/test_exact_split_search.py``), and both
-must grow the same tree bytes.
+boosting on 325x5 and 229x20.  Each fit runs with the lockstep builder
+(one batched split search per depth-first step for all of a forest's
+trees, over all candidate features of every node) and with the per-tree,
+per-feature builder it replaced (``split_search_reference.py``, also the
+reference of ``tests/test_exact_split_search.py``), and both must grow
+the same tree bytes.  Its ``lockstep`` rows time the surrogate and
+AutoGluon's random forest (20 trees, depth 12, on 261x5 and 216x20)
+against the same trees grown one at a time through the one-tree call,
+again asserting identical bytes.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the grid for CI; the committed artefact
 comes from a full local run, where the binned RF/GBM fits clear 3.5x.
@@ -31,10 +35,13 @@ A binned random forest grows all its trees in one level loop, so its
 binned fit pays the per-level Python cost once per forest, not per tree.
 The CI gate only asserts the conservative floors: 2x for binned fit vs
 exact fit and for compiled vs per-tree predict at 16 rows, 1.5x for the
-row-wise vs the per-feature exact search on the surrogate row.
+lockstep builder vs the per-feature exact search on the surrogate row,
+and 1.25x for the lockstep forest vs its trees grown one at a time on the
+surrogate row.
 """
 
 import os
+from unittest import mock
 
 import numpy as np
 from conftest import emit, write_bench_json
@@ -82,6 +89,11 @@ EXACT_GBM_SHAPES = ((325, 5), (229, 20))
 EXACT_REPEATS = 3 if SMOKE else 5
 #: CI floor for the row-wise vs per-feature exact search, surrogate row
 MIN_EXACT_SPEEDUP = 1.5
+#: lockstep rows: AutoGluon's random forest on (rows, features) shapes
+LOCKSTEP_RF_SHAPES = ((261, 5), (216, 20))
+#: CI floor for a lockstep forest vs its trees grown one at a time,
+#: surrogate row
+MIN_LOCKSTEP_SPEEDUP = 1.25
 
 
 def _models():
@@ -214,21 +226,43 @@ def _run_predict_bench():
     return results
 
 
-def _exact_cases():
-    """(name, estimator factory, X, y) at the campaigns' exact-fit shapes."""
+def _surrogate_case():
+    """The BO surrogate on 157 encoded configurations."""
     space = build_space()
     rng = np.random.default_rng(SEED)
     n = EXACT_SURROGATE_TRIALS
     X = np.vstack([space.encode(space.sample(rng)) for _ in range(n)])
     y = np.round(rng.uniform(0.4, 0.9, n), 3)
-    yield ("surrogate", lambda: RandomForestRegressor(
+    return ("surrogate", lambda: RandomForestRegressor(
         n_estimators=16, min_samples_leaf=2, max_features=0.8,
         random_state=SEED), X, y)
+
+
+def _exact_cases():
+    """(name, estimator factory, X, y) at the campaigns' exact-fit shapes."""
+    yield _surrogate_case()
     for n, d in EXACT_GBM_SHAPES:
         X, y = make_classification(n, d, 2, class_sep=1.0,
                                    nonlinearity=0.3, random_state=SEED)
         yield (f"GBM_{n}x{d}", lambda: GradientBoostingClassifier(
             n_estimators=50, max_depth=3, random_state=SEED), X, y)
+
+
+def _lockstep_cases():
+    """(name, forest factory, X, y): the surrogate and AutoGluon's RF."""
+    yield _surrogate_case()
+    for n, d in LOCKSTEP_RF_SHAPES:
+        X, y = make_classification(n, d, 2, class_sep=1.0,
+                                   nonlinearity=0.3, random_state=SEED)
+        yield (f"RF_{n}x{d}", lambda: RandomForestClassifier(
+            n_estimators=20, max_depth=12, random_state=SEED), X, y)
+
+
+def _one_at_a_time(trees, X, y, samples, w=None, edges=None):
+    """Grow each exact tree alone on its own copy of its sample rows:
+    the one-tree call of the builder."""
+    for tree, rows in zip(trees, samples):
+        tree.fit(X[rows], y[rows])
 
 
 def _tree_bytes(model) -> bytes:
@@ -262,10 +296,35 @@ def _run_exact_bench():
     return results
 
 
+def _run_lockstep_bench():
+    results = {}
+    for name, make, X, y in _lockstep_cases():
+        fast_s = slow_s = np.inf
+        for _ in range(EXACT_REPEATS):
+            with Stopwatch(WallClock()) as watch:
+                fast = make().fit(X, y)
+            fast_s = min(fast_s, watch.elapsed)
+            with mock.patch("repro.models.forest.fit_many", _one_at_a_time), \
+                    Stopwatch(WallClock()) as watch:
+                slow = make().fit(X, y)
+            slow_s = min(slow_s, watch.elapsed)
+        assert _tree_bytes(fast) == _tree_bytes(slow), \
+            f"{name}: the lockstep forest must grow its trees grown alone"
+        results[name] = {
+            "lockstep_s": round(fast_s, 4),
+            "n_features": int(X.shape[1]),
+            "n_rows": int(X.shape[0]),
+            "n_trees": len(fast.estimators_),
+            "one_at_a_time_s": round(slow_s, 4),
+            "speedup": round(slow_s / fast_s, 2),
+        }
+    return results
+
+
 def test_speed_models(benchmark):
-    results, predict, exact = benchmark.pedantic(
+    results, predict, exact, lockstep = benchmark.pedantic(
         lambda: (_run_models_bench(), _run_predict_bench(),
-                 _run_exact_bench()),
+                 _run_exact_bench(), _run_lockstep_bench()),
         rounds=1, iterations=1)
     path = write_bench_json("BENCH_models.json", {
         "config": {
@@ -295,6 +354,7 @@ def test_speed_models(benchmark):
                 "surrogate_trees": 16,
             },
             "models": exact,
+            "lockstep": lockstep,
         },
     })
     rows = [
@@ -320,12 +380,21 @@ def test_speed_models(benchmark):
                                     f"per_tree_rows_per_s_{size}",
                                     f"speedup_{size}")]
               for name, r in predict.items()])
-         + "\n\nexact fit s, row-wise vs per-feature split search\n\n"
+         + "\n\nexact fit s, lockstep builder (row-wise) vs per-tree, "
+           "per-feature reference\n\n"
          + format_table(
              ["model", "rows", "cols", "row-wise s", "per-feature s", "x"],
              [[name, str(r["n_rows"]), str(r["n_features"]),
                f"{r['row_wise_s']:.3f}", f"{r['per_feature_s']:.3f}",
                f"{r['speedup']:.1f}x"] for name, r in exact.items()])
+         + "\n\nexact forest fit s, lockstep vs one tree at a time\n\n"
+         + format_table(
+             ["model", "rows", "cols", "trees", "lockstep s",
+              "one at a time s", "x"],
+             [[name, str(r["n_rows"]), str(r["n_features"]),
+               str(r["n_trees"]), f"{r['lockstep_s']:.3f}",
+               f"{r['one_at_a_time_s']:.3f}", f"{r['speedup']:.1f}x"]
+              for name, r in lockstep.items()])
          + f"\nwrote {path}")
     for name in ("RF", "GBM"):
         r = results[name]
@@ -343,3 +412,6 @@ def test_speed_models(benchmark):
     assert exact["surrogate"]["speedup"] >= MIN_EXACT_SPEEDUP, \
         f"the row-wise exact search must stay >={MIN_EXACT_SPEEDUP}x " \
         f"the per-feature scan on the BO surrogate"
+    assert lockstep["surrogate"]["speedup"] >= MIN_LOCKSTEP_SPEEDUP, \
+        f"the lockstep forest must stay >={MIN_LOCKSTEP_SPEEDUP}x its " \
+        f"trees grown one at a time on the BO surrogate"

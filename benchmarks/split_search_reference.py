@@ -1,11 +1,13 @@
-"""The exact ``splitter="best"`` split search that the row-wise kernel of
-:mod:`repro.models.tree` replaced, kept as the reference it must match.
+"""The exact builder that the lockstep kernel of :mod:`repro.models.tree`
+replaced, kept as the reference it must match.
 
-One stable sort, one candidate-cut list and one 1-D prefix scan per
-candidate feature, the winner kept with a strict ``>``.  Inside
-:func:`per_feature_search` every exact fit runs this scan instead, so a
-test or a bench can refit the same estimator from the same seed and
-compare the trees byte for byte, or time the two searches.
+Each tree grows alone, on its own copy of its rows, in one depth-first
+loop; each node's split search takes one stable sort, one candidate-cut
+list and one 1-D prefix scan per candidate feature, the winner kept with
+a strict ``>``.  Inside :func:`per_feature_search` every exact fit runs
+this builder instead (it is patched in at the lockstep builder's entry,
+``_grow_exact``), so a test or a bench can refit the same estimator from
+the same seed and compare the trees byte for byte, or time the two.
 """
 
 import contextlib
@@ -13,8 +15,60 @@ from unittest import mock
 
 import numpy as np
 
-from repro.models import DecisionTreeClassifier, DecisionTreeRegressor
-from repro.models.tree import _TINY, _BaseDecisionTree
+from repro.models import DecisionTreeClassifier
+from repro.models.tree import _TINY, _Tree, _resolve_max_features
+
+
+def ref_grow_exact(trees, rngs, samples, XT, y, w):
+    """Grow each tree alone, as a fit on ``X[rows]`` did before the
+    lockstep builder (``XT``, ``y`` and ``w`` carry the lockstep pad,
+    which no tree's rows reach)."""
+    for tree, rng, rows in zip(trees, rngs, samples):
+        ref_fit_one(tree, np.ascontiguousarray(XT[:, rows]), y[rows], rng,
+                    None if w is None else w[rows])
+
+
+def ref_fit_one(self, XT, y, rng, w):
+    """One tree's depth-first loop over its own feature-major copy."""
+    n_samples = XT.shape[1]
+    k = _resolve_max_features(self.max_features, XT.shape[0])
+    max_depth = self.max_depth if self.max_depth is not None else np.inf
+    root_value = np.atleast_1d(self._leaf_value(y, w))
+    tree = _Tree(value_width=root_value.shape[0])
+    self.tree_ = tree
+    root = tree.add_node(root_value, 0)
+    # Stack of (node_id, row_indices, depth); depth-first expansion.
+    stack = [(root, np.arange(n_samples), 0)]
+    n_leaves = 1
+    max_leaves = self.max_leaf_nodes or np.inf
+    while stack:
+        node, idx, depth = stack.pop()
+        y_node = y[idx]
+        w_node = None if w is None else w[idx]
+        if (
+            depth >= max_depth
+            or len(idx) < self.min_samples_split
+            or len(idx) < 2 * self.min_samples_leaf
+            or self._node_impurity(y_node, w_node) <= 1e-12
+            or n_leaves + 1 > max_leaves
+        ):
+            continue
+        split = ref_best_split(self, XT, y, idx, k, rng, w)
+        if split is None:
+            continue
+        feat, thr, left_idx, right_idx = split
+        tree.feature[node] = feat
+        tree.threshold[node] = thr
+        left = tree.add_node(np.atleast_1d(self._leaf_value(
+            y[left_idx], None if w is None else w[left_idx])), depth + 1)
+        right = tree.add_node(np.atleast_1d(self._leaf_value(
+            y[right_idx], None if w is None else w[right_idx])), depth + 1)
+        tree.left[node] = left
+        tree.right[node] = right
+        n_leaves += 1  # replaced one leaf with two
+        stack.append((left, left_idx, depth + 1))
+        stack.append((right, right_idx, depth + 1))
+    tree.finalize()
 
 
 def ref_best_split(self, XT, y, idx, k, rng, w=None):
@@ -43,7 +97,7 @@ def ref_best_split(self, XT, y, idx, k, rng, w=None):
         if len(cuts) == 0:
             continue
         w_sorted = None if w_idx is None else w_idx[order]
-        gains = self._prefix_gains(y_sorted, cuts, n_node, w_sorted)
+        gains = ref_gains(self, y_sorted, cuts, n_node, w_sorted)
         j = int(np.argmax(gains))
         if gains[j] > best_gain:
             cut = int(cuts[j])
@@ -112,13 +166,15 @@ def ref_regressor_gains(self, y_sorted, cuts, n_node, w_sorted=None):
     return parent - child
 
 
+def ref_gains(self, y_sorted, cuts, n_node, w_sorted=None):
+    """Gains of one feature's admissible ``cuts`` (1-D prefix scans)."""
+    gains = (ref_classifier_gains if isinstance(self, DecisionTreeClassifier)
+             else ref_regressor_gains)
+    return gains(self, y_sorted, cuts, n_node, w_sorted)
+
+
 @contextlib.contextmanager
 def per_feature_search():
-    """Fit with the per-feature reference scan patched in."""
-    with mock.patch.object(_BaseDecisionTree, "_best_split",
-                           ref_best_split), \
-            mock.patch.object(DecisionTreeClassifier, "_prefix_gains",
-                              ref_classifier_gains), \
-            mock.patch.object(DecisionTreeRegressor, "_prefix_gains",
-                              ref_regressor_gains):
+    """Fit with the per-tree, per-feature reference builder patched in."""
+    with mock.patch("repro.models.tree._grow_exact", ref_grow_exact):
         yield

@@ -1,13 +1,14 @@
 """Tree ensembles: random forests and extremely randomised trees.
 
-With ``binning`` enabled the forest quantizes the training matrix exactly
-once (one :class:`~repro.models.binning.FeatureBinner` per forest) and every
-tree fits on row-subsets of the same shared binned matrix — bootstrap
-resampling indexes uint8 codes instead of re-quantizing floats per tree.
-A random forest's trees grow level by level in lockstep
-(:func:`~repro.models.tree.fit_binned_many`), each bit-identical to a fit
-of its own; extra-trees draw their cuts per level chunk and grow one at a
-time.
+Every tree fits on row subsets of one shared matrix, through one grouping
+function (:func:`~repro.models.tree.fit_many`): bootstrap samples are
+row-index arrays, never copies.  With ``binning`` enabled the forest
+quantizes the training matrix exactly once (one
+:class:`~repro.models.binning.FeatureBinner` per forest) and a random
+forest's trees grow level by level in lockstep; without it they grow
+depth-first in lockstep, one batched split search per step for all of
+them, over one feature-major copy of ``X``.  Either way each tree is
+bit-identical to a fit of its own; extra-trees grow one at a time.
 Prediction descends every tree at once through the forest's compiled
 :class:`~repro.models.tree.NodeTable`.
 """
@@ -24,7 +25,7 @@ from repro.models.tree import (
     DecisionTreeRegressor,
     NodeTable,
     accumulate,
-    fit_binned_many,
+    fit_many,
 )
 from repro.utils.rng import check_random_state, spawn_seeds
 from repro.utils.validation import check_is_fitted, check_X_y
@@ -58,26 +59,15 @@ class _BaseForest(CompiledTreesMixin, BaseEstimator):
         rng = check_random_state(self.random_state)
         seeds = spawn_seeds(rng, self.n_estimators)
         n = X.shape[0]
+        edges = None
         if self.binning is not None:
             # Quantize once, share the code matrix across every tree.
             binner = FeatureBinner(self.binning)
-            Xb = binner.fit_transform(X)
-            edges = binner.edges_
-        else:
-            Xb = edges = None
+            X, edges = binner.fit_transform(X), binner.edges_
         self.estimators_ = [self._make_tree(seed) for seed in seeds]
         samples = [check_random_state(seed).integers(0, n, size=n)
-                   if self.bootstrap else None for seed in seeds]
-        if Xb is not None:
-            fit_binned_many(self.estimators_, Xb, y, edges,
-                            [np.arange(n) if idx is None else idx
-                             for idx in samples])
-        else:
-            for tree, idx in zip(self.estimators_, samples):
-                if idx is None:
-                    tree.fit(X, y)
-                else:
-                    tree.fit(X[idx], y[idx])
+                   if self.bootstrap else np.arange(n) for seed in seeds]
+        fit_many(self.estimators_, X, y, samples, edges=edges)
         self.n_features_in_ = X.shape[1]
 
     def inference_flops(self, n_samples: int) -> float:
@@ -145,6 +135,8 @@ class RandomForestRegressor(_BaseForest, RegressorMixin):
         if X.ndim == 1:
             X = X.reshape(-1, 1)
         y = np.asarray(y, dtype=float).ravel()
+        if X.shape[0] != y.shape[0]:
+            raise ValueError("X and y length mismatch")
         self._fit_forest(X, y)
         return self
 

@@ -6,23 +6,40 @@ the random-forest surrogate inside Bayesian optimization.  Two split-search
 kernels fill the same preallocated flat node arrays (after ivalice's
 ``_Tree``):
 
-- the **exact** kernel (``binning=None``, the default) scores every cut of
-  every candidate feature of a node in one array pass: the ``k`` drawn
-  columns are gathered as one C-contiguous ``(k, n)`` matrix, one stable
-  row-wise argsort orders them, and row-wise prefix sums (``y`` and
-  ``y**2`` for the regressor, a ``(k, n, classes)`` one-hot cumsum for the
-  classifier) give the gain of every admissible cut (the value changes,
-  both sides keep ``min_samples_leaf`` rows).  Its trees are bit-identical
-  to a scan of one feature at a time (the reference in
-  ``benchmarks/split_search_reference.py``) because: one ``rng.choice`` draw
-  per split attempt, in depth-first order; each row's parent impurity is
-  reduced along the contiguous last axis, so its pairwise sums run in
-  that feature's sort order (weighted fits evaluate each row's parent on
-  its own); the first maximal cut and then the first maximal feature
-  win, only above ``1e-12``, and a row whose best gain is NaN never
-  does; children list their rows in the winning feature's sort order,
-  the order their leaf values are summed in.  The random splitter
-  (extra-trees) scans its few candidates one at a time;
+- the **exact** kernel (``binning=None``, the default) grows any number
+  of trees in lockstep (:func:`_grow_exact`; one tree is the one-tree
+  call).  Each tree keeps its own depth-first stack and generator; each
+  step pops the next split attempt of every live tree (the stop checks
+  run first), draws its ``k`` candidates with one ``rng.choice``, and
+  one batched search (``_best_splits``) scores every cut of every
+  candidate of all popped nodes.  The step's nodes are grouped largest
+  first under ``_EXACT_CHUNK_ELEMENTS`` (:func:`_chunk_bounds`, which
+  breaks a group where node sizes halve) and a group's rows are padded to
+  its largest node with the NaN column appended to the shared
+  feature-major copy of ``X`` (target 0): one stable row-wise argsort
+  orders every (node, candidate) row, pads last; running sums along each
+  row (``y`` and ``y**2`` for the regressor, a one-hot class cumsum for
+  the classifier) give every prefix, and a row's totals are read at its
+  last real column.  A cut is admissible where the sorted value changes
+  and both sides keep ``min_samples_leaf`` rows, so no cut borders a NaN
+  or a pad; only rows with an admissible cut are scored, every cut then
+  masked when more than ``_DENSE_SHARE`` of them are admissible, only the
+  admissible ones otherwise.  Every tree is bit-identical to a fit of
+  its own (the reference in ``benchmarks/split_search_reference.py``)
+  because: one draw per split attempt from the tree's own generator, in
+  its own depth-first order (the right child is popped first, so node ids
+  do not move), and its own ``max_leaf_nodes`` budget; each row's parent
+  impurity is reduced over exactly its node's rows in that row's sort
+  order, never over the padded row (rows of equal size share one
+  ``np.var``-equivalent call; the unweighted classifier's parent comes
+  from integer counts, its stop-check impurity; weighted fits evaluate
+  each row on its own); the first maximal cut, then the first maximal
+  candidate win, only above ``1e-12``, and a row whose best gain is NaN
+  never does; children list their rows in the winning candidate's sort
+  order, the order their leaf values are summed in.  Bootstrap samples
+  are row-index arrays into the one shared copy, and a stable sort orders
+  ties (duplicated rows included) as a fit on ``X[rows]`` would.  The
+  random splitter (extra-trees) scans its few candidates one at a time;
 - the **histogram** kernel (``binning=<max_bins>``) quantizes features once
   per fit into at most 255 ordinal codes (:class:`~repro.models.binning.
   FeatureBinner`) and searches splits via binned class-count/moment prefix
@@ -67,9 +84,14 @@ _TINY = 1e-300
 #: and a lockstep batch of binned trees gathers at most this many
 #: candidate codes per level (a single tree may exceed it)
 _HIST_CHUNK_ELEMENTS = 2**23
-#: the exact search's per-node temporaries are chunked to at most this
-#: many elements, so that a large node's passes stay in cache
+#: the exact search's per-step temporaries are chunked to at most this
+#: many elements, so that a step's passes stay in cache (a single node
+#: may exceed it)
 _EXACT_CHUNK_ELEMENTS = 2**16
+#: the exact search scores every cut of a block (then masks) when more
+#: than this share of its cuts is admissible, and only the admissible
+#: cuts otherwise
+_DENSE_SHARE = 0.5
 
 
 class _Tree:
@@ -318,6 +340,18 @@ class CompiledTreesMixin:
         return state
 
 
+def _variance(y):
+    """``np.var(y, axis=-1)``, bit for bit: the ufunc sequence numpy's
+    ``var`` runs (sum, divide, subtract, square, sum, divide), without
+    its per-call argument handling."""
+    n = y.shape[-1]
+    mean = np.add.reduce(y, axis=-1, keepdims=True)
+    mean /= n
+    dev = y - mean
+    dev *= dev
+    return np.add.reduce(dev, axis=-1) / n
+
+
 def _resolve_max_features(max_features, n_features: int) -> int:
     if max_features is None:
         return n_features
@@ -336,7 +370,8 @@ class _BaseDecisionTree(BaseEstimator):
     """Shared builder skeleton; subclasses define impurity and leaf values.
 
     ``binning=None`` runs the exact sort-based split search (bit-identical
-    to the historical builder); an integer ``binning`` in ``[2, 255]``
+    to the historical builder, one tree grown alone or many in lockstep);
+    an integer ``binning`` in ``[2, 255]``
     quantizes features once and searches splits over histogram prefix
     scans.  ``min_samples_split`` / ``min_samples_leaf`` always count
     *rows*, not weight, so the binned builder's leaf guarantees are
@@ -359,15 +394,31 @@ class _BaseDecisionTree(BaseEstimator):
     def _leaf_value(self, y_node, w_node=None) -> np.ndarray:
         raise NotImplementedError
 
-    def _prefix_gains(self, y_sorted, n_node, w_sorted=None):
-        """Impurity gain of every prefix split of every row: ``y_sorted``
-        (and ``w_sorted``) hold each candidate feature's node targets in
-        that feature's sort order, shape ``(rows, n_node)``; the result
-        has shape ``(rows, n_node - 1)``, column ``j`` the cut that sends
-        the first ``j + 1`` rows left."""
+    def _node_impurity(self, y_node, w_node=None) -> float:
         raise NotImplementedError
 
-    def _node_impurity(self, y_node, w_node=None) -> float:
+    def _prefix_sums(self, y_sorted, w_sorted=None):
+        """Running sums along every row of the exact search: ``y_sorted``
+        (and ``w_sorted``) hold each (node, candidate) row's targets in
+        that candidate's sort order, shape ``(rows, width)``.  Returns a
+        tuple of arrays whose column ``j`` sums the first ``j + 1``."""
+        raise NotImplementedError
+
+    def _cut_gains(self, left, total, n_left, n_node, parent):
+        """Impurity gain of cuts from the prefix sums left of each cut
+        (``left``, one entry per :meth:`_prefix_sums` array) and the
+        node totals (``total``); ``n_left`` counts the rows left of each
+        cut (``None`` for a weighted fit, whose left mass comes from
+        ``left``), ``n_node`` and ``parent`` are the node's row count and
+        impurity.  All arguments broadcast: the dense form passes every
+        cut of a block, the sparse form the admissible cuts only."""
+        raise NotImplementedError
+
+    def _row_parents(self, y_sorted, sizes, impurity, node):
+        """Unweighted parent impurity of every row of a block: row ``r``
+        reduces ``y_sorted[r, :sizes[r]]`` (``sizes`` is one int when no
+        row is padded); ``impurity[node[r]]`` is the stop-check impurity
+        of row ``r``'s node."""
         raise NotImplementedError
 
     def _node_impurities_batch(self, y_rows, w_rows, block, n_blocks):
@@ -390,10 +441,11 @@ class _BaseDecisionTree(BaseEstimator):
         raise NotImplementedError
 
     def _hist_width(self) -> int:
-        """Trailing histogram dimension, for chunk-size budgeting."""
+        """Trailing histogram dimension, for chunk-size budgeting (both
+        kernels count it per candidate row and cut)."""
         raise NotImplementedError
 
-    def _binned_target(self, y, rows):
+    def _target(self, y, rows):
         """The builder's target array for a fit on ``y[rows]``, indexed
         like ``y``, and a key equal between trees whose targets code
         alike; sets the fitted label state."""
@@ -405,114 +457,177 @@ class _BaseDecisionTree(BaseEstimator):
         (forests and boosting quantize once and fit many trees)."""
         Xb = np.asarray(Xb)
         w = check_sample_weight(sample_weight, Xb.shape[0])
-        fit_binned_many([self], Xb, y, edges, [np.arange(Xb.shape[0])], w)
+        fit_many([self], Xb, y, [np.arange(Xb.shape[0])], w, edges)
         return self
 
-    def _fit_arrays(self, X: np.ndarray, y: np.ndarray,
-                    sample_weight=None) -> None:
+    def _fit_arrays(self, X: np.ndarray, y, sample_weight=None) -> None:
+        """Fit on validated ``X`` and the raw targets ``y``: the one-tree
+        call of the builder."""
         w = check_sample_weight(sample_weight, X.shape[0])
-        rng = check_random_state(self.random_state)
+        edges = None
         if self.binning is not None:
             binner = FeatureBinner(self.binning).fit(X)
-            _grow_binned([self], [rng], [np.arange(X.shape[0])],
-                         binner.transform(X), y, binner.edges_, w)
-        else:
-            self._fit_exact_arrays(X, y, rng, w)
-        self.n_features_in_ = X.shape[1]
-
-    def _fit_exact_arrays(self, X, y, rng, w) -> None:
-        n_samples = X.shape[0]
-        k = _resolve_max_features(self.max_features, X.shape[1])
-        # feature-major copy: a node's candidate columns gather into one
-        # C-contiguous (k, n) matrix
-        XT = np.ascontiguousarray(X.T)
-        max_depth = self.max_depth if self.max_depth is not None else np.inf
-
-        root_value = np.atleast_1d(self._leaf_value(y, w))
-        tree = _Tree(value_width=root_value.shape[0])
-        self.tree_ = tree
-        root = tree.add_node(root_value, 0)
-        # Stack of (node_id, row_indices, depth); depth-first expansion.
-        stack = [(root, np.arange(n_samples), 0)]
-        n_leaves = 1
-        max_leaves = self.max_leaf_nodes or np.inf
-        while stack:
-            node, idx, depth = stack.pop()
-            y_node = y[idx]
-            w_node = None if w is None else w[idx]
-            if (
-                depth >= max_depth
-                or len(idx) < self.min_samples_split
-                or len(idx) < 2 * self.min_samples_leaf
-                or self._node_impurity(y_node, w_node) <= 1e-12
-                or n_leaves + 1 > max_leaves
-            ):
-                continue
-            split = self._best_split(XT, y, idx, k, rng, w)
-            if split is None:
-                continue
-            feat, thr, left_idx, right_idx = split
-            tree.feature[node] = feat
-            tree.threshold[node] = thr
-            left = tree.add_node(np.atleast_1d(self._leaf_value(
-                y[left_idx], None if w is None else w[left_idx])), depth + 1)
-            right = tree.add_node(np.atleast_1d(self._leaf_value(
-                y[right_idx], None if w is None else w[right_idx])), depth + 1)
-            tree.left[node] = left
-            tree.right[node] = right
-            n_leaves += 1  # replaced one leaf with two
-            stack.append((left, left_idx, depth + 1))
-            stack.append((right, right_idx, depth + 1))
-        tree.finalize()
+            X, edges = binner.transform(X), binner.edges_
+        fit_many([self], X, y, [np.arange(X.shape[0])], w, edges)
 
     # -- split search: exact kernel ----------------------------------------
-    def _best_split(self, XT, y, idx, k, rng, w=None):
-        """Best ``(feature, threshold, left rows, right rows)`` of one node,
-        or ``None``; ``XT`` is the feature-major training matrix.
+    def _best_splits(self, XT, y, w, nodes, feats, impurity):
+        """Best ``(feature, threshold, left rows, right rows)``, or
+        ``None``, of every node of one lockstep step, searched together.
 
-        One draw of ``k`` candidate features per call.  The ``"best"``
-        splitter scores every cut of every candidate in one pass (see the
-        module docstring): each row takes its first maximal admissible
-        cut, the node its first maximal row in draw order, kept only above
-        ``1e-12``.  Candidates are chunked so that no temporary exceeds
-        ``_EXACT_CHUNK_ELEMENTS``; chunk winners merge in draw order with
-        the same strict ``>``.
+        ``XT`` is the feature-major training matrix whose last column is
+        the NaN pad, ``y`` (and ``w``) the targets with the pad's 0
+        appended.  ``nodes[i]`` holds node ``i``'s rows (columns of
+        ``XT``), ``feats[i]`` its ``k`` drawn candidates and
+        ``impurity[i]`` its stop-check impurity.  Nodes are grouped
+        largest first under ``_EXACT_CHUNK_ELEMENTS`` (:func:`_chunk_bounds`)
+        and each group is padded to its largest node; a node that alone
+        exceeds the budget is searched over chunks of its candidates.
+        Block winners merge in draw order with a strict ``>``, starting
+        from ``1e-12``; children list their rows in the winning
+        feature's sort order.
         """
-        n_features = XT.shape[0]
-        features = (
-            rng.choice(n_features, size=k, replace=False)
-            if k < n_features
-            else np.arange(n_features)
-        )
-        if self.splitter == "random":
-            return self._random_split(XT, y, idx, features, rng, w)
-        n_node = len(idx)
-        cuts = np.arange(1, n_node)
-        in_window = ((cuts >= self.min_samples_leaf)
-                     & (cuts <= n_node - self.min_samples_leaf))
-        step = max(1, _EXACT_CHUNK_ELEMENTS // (n_node * self._hist_width()))
-        best_gain = 1e-12
-        best = None
-        for f0 in range(0, k, step):
-            feats = features[f0:f0 + step, None]
-            order = np.argsort(XT[feats, idx], axis=1, kind="stable")
-            rows = idx[order]  # each row's node rows in its sort order
-            v_sorted = XT[feats, rows]
-            gains = self._prefix_gains(y[rows], n_node,
-                                       None if w is None else w[rows])
-            gains = np.where((v_sorted[:, 1:] > v_sorted[:, :-1]) & in_window,
-                             gains, -np.inf)
-            at = gains.argmax(axis=1)  # a row's first NaN beats any number
-            row_gain = gains[np.arange(len(feats)), at]
-            f = int(np.argmax(np.where(np.isnan(row_gain), -np.inf,
-                                       row_gain)))
-            if row_gain[f] > best_gain:
-                cut = int(at[f]) + 1
-                thr = 0.5 * (v_sorted[f, cut - 1] + v_sorted[f, cut])
-                best_gain = float(row_gain[f])
-                best = (int(feats[f, 0]), float(thr), rows[f, :cut].copy(),
-                        rows[f, cut:].copy())
+        k = len(feats[0])
+        hist = self._hist_width()
+        sizes = [len(rows) for rows in nodes]
+        if len(nodes) == 1:
+            groups = [[0]]
+        else:
+            order = np.argsort(-np.array(sizes), kind="stable")
+            bounds = _chunk_bounds(np.array(sizes)[order], k * hist,
+                                   max(sizes), _EXACT_CHUNK_ELEMENTS)
+            order = order.tolist()
+            groups = [order[b0:b1] for b0, b1 in zip(bounds[:-1], bounds[1:])]
+        best = [None] * len(nodes)
+        best_gain = [1e-12] * len(nodes)
+        for group in groups:
+            width = sizes[group[0]]
+            if len(group) == 1:
+                rows = nodes[group[0]][None, :]
+                cand = feats[group[0]][None, :]
+                step = max(1, _EXACT_CHUNK_ELEMENTS // (width * hist))
+            else:
+                rows = np.full((len(group), width), XT.shape[1] - 1)
+                for pos, i in enumerate(group):
+                    rows[pos, : sizes[i]] = nodes[i]
+                cand = np.array([feats[i] for i in group])
+                step = k
+            group_sizes = [sizes[i] for i in group]
+            group_impurity = impurity[group] if len(nodes) > 1 else impurity
+            for f0 in range(0, k, step):
+                block = cand[:, f0:f0 + step]
+                found = self._search_block(XT, y, w, rows, block,
+                                           group_sizes, group_impurity)
+                if found is None:
+                    continue
+                gain, win, live, at, v_sorted, rows_sorted = found
+                for pos, i in enumerate(group):
+                    if gain[pos] > best_gain[i]:
+                        r, p = win[pos], live[pos]
+                        cut = int(at[p]) + 1
+                        node_rows = rows_sorted[p, : sizes[i]].copy()
+                        best_gain[i] = gain[pos]
+                        best[i] = (int(block.flat[r]),
+                                   0.5 * (float(v_sorted[r, cut - 1])
+                                          + float(v_sorted[r, cut])),
+                                   node_rows[:cut], node_rows[cut:])
         return best
+
+    def _search_block(self, XT, y, w, rows, feats, sizes, impurity):
+        """Score every cut of candidates ``feats[i]`` over node rows
+        ``rows[i]`` (padded to one width) for one block of nodes.
+
+        Returns ``None`` if the block has no admissible cut.  Otherwise,
+        per node, its best gain (``-inf`` if none of its rows has an
+        admissible cut or every such row's best gain is NaN), its best
+        row and that row's position among the scored rows, then every
+        scored row's first best cut index, the sorted values of every
+        row and the node rows of every scored row in sort order.
+        """
+        g, width = rows.shape
+        kc = feats.shape[1]
+        n_rows = g * kc
+        min_leaf = self.min_samples_leaf
+        # flat takes: one 1-D gather beats 2-D fancy indexing
+        values = XT.take((feats * XT.shape[1])[:, :, None]
+                         + rows[:, None, :]).reshape(n_rows, width)
+        # stable: ties keep row order, and the pads (NaN) sort after
+        # every real value, real NaNs included
+        order = np.argsort(values, axis=1, kind="stable")
+        v_sorted = values.take(np.arange(0, values.size, width)[:, None]
+                               + order)
+        # admissible: the sorted value changes (so no cut borders a NaN
+        # or a pad) and both sides keep min_samples_leaf rows
+        admissible = v_sorted[:, 1:] > v_sorted[:, :-1]
+        if min_leaf > 1:
+            admissible[:, : min_leaf - 1] = False
+            for i, n in enumerate(sizes):
+                admissible[i * kc:(i + 1) * kc, n - min_leaf:] = False
+        # only rows with an admissible cut are scored
+        live = admissible.any(axis=1).nonzero()[0]
+        n_live = len(live)
+        if not n_live:
+            return None
+        if n_live < n_rows:
+            admissible, order = admissible[live], order[live]
+        node = live // kc
+        if g == 1:
+            # no pads: every row's totals sit in its last column
+            rows_sorted = rows[0].take(order)
+            n_row = width
+        else:
+            rows_sorted = rows.take((node * width)[:, None] + order)
+            n_row = np.array(sizes)[node]
+        y_sorted = y[rows_sorted]
+        if w is None:
+            w_sorted = None
+            parent = self._row_parents(y_sorted, n_row, impurity, node)
+        else:
+            w_sorted = w[rows_sorted]
+            parent = np.array([
+                self._node_impurity(ys[:n], ws[:n])
+                for ys, ws, n in zip(y_sorted, w_sorted,
+                                     np.broadcast_to(n_row, n_live))])
+        sums = self._prefix_sums(y_sorted, w_sorted)
+        if g == 1:
+            totals = [s[:, -1] for s in sums]
+        else:  # each row's last real column
+            totals = [s[np.arange(n_live), n_row - 1] for s in sums]
+        if int(np.count_nonzero(admissible)) > _DENSE_SHARE * admissible.size:
+            # dense: score every cut, then mask
+            args = ([s[:, :-1] for s in sums], [t[:, None] for t in totals],
+                    np.arange(1.0, width) if w is None else None,
+                    n_row if g == 1 else n_row[:, None], parent[:, None])
+            if g == 1:
+                gains = self._cut_gains(*args)
+            else:  # cuts into the pads score garbage that the mask drops
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    gains = self._cut_gains(*args)
+            gains = np.where(admissible, gains, -np.inf)
+        else:
+            # sparse: score the admissible cuts only
+            r, j = admissible.nonzero()
+            gains = np.full(admissible.shape, -np.inf)
+            gains[r, j] = self._cut_gains(
+                [s[r, j] for s in sums], [t[r] for t in totals],
+                j + 1.0 if w is None else None,
+                n_row if g == 1 else n_row[r], parent[r])
+        # each row's first maximal cut; a row whose best gain is NaN (the
+        # max, and the argmax, of a row holding a NaN) never wins
+        at = gains.argmax(axis=1)
+        row_gain = np.fmax(gains.max(axis=1), -np.inf)
+        if n_live < n_rows:
+            scattered = np.full(n_rows, -np.inf)
+            scattered[live] = row_gain
+            row_gain = scattered
+        row_gain = row_gain.reshape(g, kc)
+        slot = row_gain.argmax(axis=1)  # the first maximal row in draw order
+        win = np.arange(0, n_rows, kc) + slot
+        # a node's best row is scored whenever its gain is finite
+        pos = win if n_live == n_rows else np.minimum(
+            np.searchsorted(live, win), n_live - 1)
+        return (row_gain.max(axis=1).tolist(), win.tolist(), pos.tolist(),
+                at, v_sorted, rows_sorted)
 
     def _random_split(self, XT, y, idx, features, rng, w=None):
         """Extra-trees split: one uniform threshold per candidate feature,
@@ -538,13 +653,6 @@ class _BaseDecisionTree(BaseEstimator):
                 best_gain = gain
                 best = (int(feat), float(thr), idx[mask], idx[~mask])
         return best
-
-    def _weighted_parents(self, y_sorted, w_sorted) -> np.ndarray:
-        """Weighted parent impurity of every row's sort order, as a
-        ``(rows, 1)`` column: the weighted sums run in row order, so each
-        row keeps its own value."""
-        return np.array([self._node_impurity(ys, ws)
-                         for ys, ws in zip(y_sorted, w_sorted)])[:, None]
 
     # -- prediction helpers ------------------------------------------------
     def get_depth(self) -> int:
@@ -575,12 +683,13 @@ def _random_bin_cuts(nl_all, sizes, min_leaf, rng):
 
 
 def _chunk_bounds(sizes, per_cell, nb, budget):
-    """Node-range chunk boundaries sized to the histogram tensor.
+    """Node-range chunk boundaries sized to a per-node element count.
 
     ``sizes`` must be descending: the first node of each chunk bounds the
-    rank-compressed histogram width, so chunks of small nodes pack many
-    more nodes under the same element ``budget`` than the global width
-    ``nb`` would allow.
+    chunk's width (the rank-compressed histogram width, or the exact
+    search's padded row width), so chunks of small nodes pack many more
+    nodes under the same element ``budget`` than the global width ``nb``
+    would allow.
     """
     bounds = [0]
     n = len(sizes)
@@ -628,37 +737,132 @@ def _ranges(starts, sizes):
     return np.repeat(starts - ends + sizes, sizes) + np.arange(total)
 
 
-def fit_binned_many(trees, Xb, y, edges, samples, w=None) -> None:
-    """Fit the histogram-kernel ``trees`` on row subsets of one shared code
-    matrix: ``trees[i]`` fits on rows ``samples[i]`` of ``Xb`` / ``y``
-    (/ ``w``) as if given ``Xb[samples[i]]`` alone.
+def fit_many(trees, X, y, samples, w=None, edges=None) -> None:
+    """Fit ``trees`` on row subsets of one shared matrix: ``trees[i]``
+    fits on rows ``samples[i]`` of ``X`` / ``y`` (/ ``w``) as if given
+    ``X[samples[i]]`` alone.
 
-    Best-split trees whose targets code alike grow level by level in
-    lockstep, in batches sized to the histogram budget (a forest's
-    bootstrap can miss a class; such a tree codes its labels apart and
-    grows with its own kind).  Random-split trees draw their cuts per
-    level chunk, so each grows on its own.
+    ``edges=None`` grows exact trees on the raw matrix ``X``; otherwise
+    ``X`` is the code matrix of the bin ``edges`` and the trees grow with
+    the histogram kernel.  Either way, best-split trees whose targets code
+    alike grow in lockstep (a forest's bootstrap can miss a class; such a
+    tree codes its labels apart and grows with its own kind), and
+    random-split trees grow alone.
     """
     groups = {}
     for tree, rows in zip(trees, samples):
-        target, key = tree._binned_target(y, rows)
+        target, key = tree._target(y, rows)
         if tree.splitter != "best":
             key = ("alone", len(groups))
         members = groups.setdefault(key, ([], [], target))
         members[0].append(tree)
         members[1].append(rows)
+    if edges is None:
+        # one feature-major copy for every tree: a node's candidate
+        # columns gather into one C-contiguous matrix, and the appended
+        # NaN column (target and weight 0) pads a step's nodes to one
+        # width
+        XT = np.empty((X.shape[1], X.shape[0] + 1))
+        XT[:, :-1] = X.T
+        XT[:, -1] = np.nan
+        w = None if w is None else np.append(w, 0.0)
     for group, rows, target in groups.values():
-        # a level gathers k codes for every row of every tree it grows:
-        # batch the trees so that this stays within the histogram budget
-        k = _resolve_max_features(group[0].max_features, Xb.shape[1])
-        step = max(1, _HIST_CHUNK_ELEMENTS
-                   // max(1, k * max(len(r) for r in rows)))
-        for i in range(0, len(group), step):
-            batch = group[i:i + step]
-            rngs = [check_random_state(tree.random_state) for tree in batch]
-            _grow_binned(batch, rngs, rows[i:i + step], Xb, target, edges, w)
+        rngs = [check_random_state(tree.random_state) for tree in group]
+        if edges is None:
+            _grow_exact(group, rngs, rows, XT, np.append(target, 0), w)
+        else:
+            # a level gathers k codes for every row of every tree it
+            # grows: batch the trees so that this stays within the
+            # histogram budget
+            k = _resolve_max_features(group[0].max_features, X.shape[1])
+            step = max(1, _HIST_CHUNK_ELEMENTS
+                       // max(1, k * max(len(r) for r in rows)))
+            for i in range(0, len(group), step):
+                _grow_binned(group[i:i + step], rngs[i:i + step],
+                             rows[i:i + step], X, target, edges, w)
         for tree in group:
-            tree.n_features_in_ = Xb.shape[1]
+            tree.n_features_in_ = X.shape[1]
+
+
+def _grow_exact(trees, rngs, samples, XT, y, w) -> None:
+    """Grow ``trees`` with the exact kernel, depth-first, in lockstep.
+
+    ``trees[0]`` supplies the hyper-parameters and kernels shared by every
+    tree; ``trees[i]`` fits on rows ``samples[i]`` (columns of the padded
+    feature-major matrix ``XT``) and draws from ``rngs[i]``.  Every tree
+    keeps its own depth-first stack: each step pops the next split attempt
+    of every live tree (a node that passes the stop checks), draws its
+    candidates from the tree's own generator, and one batched search
+    (:meth:`_BaseDecisionTree._best_splits`) scores them all.  So each
+    tree comes out as if grown alone: same draws, same node ids (the
+    right child is popped first), its own leaf budget.
+    """
+    est = trees[0]
+    n_features = XT.shape[0]
+    k = _resolve_max_features(est.max_features, n_features)
+    max_depth = est.max_depth if est.max_depth is not None else np.inf
+    min_split = max(est.min_samples_split, 2 * est.min_samples_leaf)
+    max_leaves = est.max_leaf_nodes or np.inf
+    best = est.splitter == "best"
+    built, stacks = [], []
+    for tree_est, rows in zip(trees, samples):
+        value = np.atleast_1d(tree_est._leaf_value(
+            y[rows], None if w is None else w[rows]))
+        tree = _Tree(value_width=value.shape[0])
+        tree.add_node(value, 0)
+        tree_est.tree_ = tree
+        built.append(tree)
+        stacks.append([(0, rows, 0)])
+    n_leaves = [1] * len(trees)
+    live = range(len(trees))
+    while True:
+        attempts = []
+        for t in live:
+            stack = stacks[t]
+            while stack:
+                node, rows, depth = stack.pop()
+                if (depth >= max_depth or len(rows) < min_split
+                        or n_leaves[t] + 1 > max_leaves):
+                    continue
+                impurity = est._node_impurity(
+                    y[rows], None if w is None else w[rows])
+                if impurity <= 1e-12:
+                    continue
+                attempts.append((t, node, rows, depth, impurity))
+                break
+        if not attempts:
+            break
+        live = [a[0] for a in attempts]
+        feats = [rngs[t].choice(n_features, size=k, replace=False)
+                 if k < n_features else np.arange(n_features)
+                 for t in live]
+        if best:
+            splits = est._best_splits(
+                XT, y, w, [a[2] for a in attempts], feats,
+                np.array([a[4] for a in attempts]))
+        else:
+            splits = [est._random_split(XT, y, a[2], f, rngs[a[0]], w)
+                      for a, f in zip(attempts, feats)]
+        for (t, node, _, depth, _), split in zip(attempts, splits):
+            if split is None:
+                continue
+            feat, thr, left_rows, right_rows = split
+            tree = built[t]
+            tree.feature[node] = feat
+            tree.threshold[node] = thr
+            left = tree.add_node(np.atleast_1d(est._leaf_value(
+                y[left_rows], None if w is None else w[left_rows])),
+                depth + 1)
+            right = tree.add_node(np.atleast_1d(est._leaf_value(
+                y[right_rows], None if w is None else w[right_rows])),
+                depth + 1)
+            tree.left[node] = left
+            tree.right[node] = right
+            n_leaves[t] += 1  # replaced one leaf with two
+            stacks[t].append((left, left_rows, depth + 1))
+            stacks[t].append((right, right_rows, depth + 1))
+    for tree in built:
+        tree.finalize()
 
 
 def _grow_binned(trees, rngs, samples, Xb, y, edges, w) -> None:
@@ -874,12 +1078,10 @@ class DecisionTreeClassifier(_BaseDecisionTree, ClassifierMixin):
 
     def fit(self, X, y, sample_weight=None):
         X, y = check_X_y(X, y)
-        codes = self._encode_labels(y)
-        self._n_classes = len(self.classes_)
-        self._fit_arrays(X, codes, sample_weight)
+        self._fit_arrays(X, y, sample_weight)
         return self
 
-    def _binned_target(self, y, rows):
+    def _target(self, y, rows):
         self._encode_labels(np.asarray(y)[rows])
         self._n_classes = len(self.classes_)
         return (np.searchsorted(self.classes_, y),
@@ -914,40 +1116,43 @@ class DecisionTreeClassifier(_BaseDecisionTree, ClassifierMixin):
             return float(-np.sum(nz * np.log2(nz)))
         return float(1.0 - np.sum(p**2))
 
-    def _prefix_gains(self, y_sorted, n_node, w_sorted=None) -> np.ndarray:
-        n_rows = len(y_sorted)
-        onehot = np.zeros((n_rows, n_node, self._n_classes))
-        onehot[np.arange(n_rows)[:, None], np.arange(n_node), y_sorted] = 1.0
+    def _prefix_sums(self, y_sorted, w_sorted=None):
+        n_rows, width = y_sorted.shape
+        onehot = np.zeros((n_rows, width, self._n_classes))
+        onehot[np.arange(n_rows)[:, None], np.arange(width), y_sorted] = 1.0
         if w_sorted is not None:
             onehot *= w_sorted[:, :, None]
-        cum = np.cumsum(onehot, axis=1)
-        left = cum[:, :-1]          # class mass left of each cut
-        total = cum[:, -1:]
+        return (np.cumsum(onehot, axis=1),)
+
+    def _cut_gains(self, left, total, n_left, n_node, parent):
+        (left,), (total,) = left, total  # class mass
         right = total - left
-        if w_sorted is None:
-            n_left = np.arange(1.0, n_node)
-            n_right = n_node - n_left
-            n_total = float(n_node)
-            # integer class counts: every sort order has the same parent
-            parent = self._node_impurity(y_sorted[0])
+        if n_left is None:
+            n_left = np.maximum(left.sum(axis=-1), _TINY)
+            n_right = np.maximum(right.sum(axis=-1), _TINY)
+            n_total = np.maximum(total.sum(axis=-1), _TINY)
         else:
-            n_left = np.maximum(left.sum(axis=2), _TINY)
-            n_right = np.maximum(right.sum(axis=2), _TINY)
-            n_total = np.maximum(total.sum(axis=2), _TINY)
-            parent = self._weighted_parents(y_sorted, w_sorted)
+            n_right = n_node - n_left
+            n_total = n_node
         if self.criterion == "entropy":
             def _h(counts, n):
                 p = counts / n[..., None]
                 with np.errstate(divide="ignore", invalid="ignore"):
                     logp = np.where(p > 0, np.log2(np.maximum(p, 1e-300)), 0.0)
-                return -np.sum(p * logp, axis=2)
+                return -np.sum(p * logp, axis=-1)
             imp_left = _h(left, n_left)
             imp_right = _h(right, n_right)
         else:
-            imp_left = 1.0 - np.sum((left / n_left[..., None]) ** 2, axis=2)
-            imp_right = 1.0 - np.sum((right / n_right[..., None]) ** 2, axis=2)
+            imp_left = 1.0 - np.sum((left / n_left[..., None]) ** 2, axis=-1)
+            imp_right = 1.0 - np.sum((right / n_right[..., None]) ** 2,
+                                     axis=-1)
         child = (n_left * imp_left + n_right * imp_right) / n_total
         return parent - child
+
+    def _row_parents(self, y_sorted, sizes, impurity, node):
+        # integer class counts: every sort order has the stop check's
+        # parent
+        return impurity[node]
 
     def _split_gain_for_mask(self, y_node, mask, w_node=None) -> float:
         parent = self._node_impurity(y_node, w_node)
@@ -1149,7 +1354,7 @@ class DecisionTreeRegressor(_BaseDecisionTree, RegressorMixin):
         self._fit_arrays(X, y, sample_weight)
         return self
 
-    def _binned_target(self, y, rows):
+    def _target(self, y, rows):
         return np.asarray(y, dtype=float).ravel(), None
 
     def _leaf_value(self, y_node, w_node=None) -> np.ndarray:
@@ -1157,45 +1362,59 @@ class DecisionTreeRegressor(_BaseDecisionTree, RegressorMixin):
             total = w_node.sum()
             if total > 0:
                 return np.asarray([float(np.dot(w_node, y_node) / total)])
-        return np.asarray([float(np.mean(y_node))])
+        # np.mean's own sum and division
+        return np.asarray([float(np.add.reduce(y_node) / len(y_node))])
 
     def _node_impurity(self, y_node, w_node=None) -> float:
         if len(y_node) == 0:
             return 0.0
         if w_node is None:
-            return float(np.var(y_node))
+            return float(_variance(y_node))
         total = w_node.sum()
         if total <= 0:
             return 0.0
         mean = np.dot(w_node, y_node) / total
         return float(np.dot(w_node, (y_node - mean) ** 2) / total)
 
-    def _prefix_gains(self, y_sorted, n_node, w_sorted=None) -> np.ndarray:
+    def _prefix_sums(self, y_sorted, w_sorted=None):
         if w_sorted is None:
-            cum = np.cumsum(y_sorted, axis=1)
-            cum2 = np.cumsum(y_sorted**2, axis=1)
-            n_left = np.arange(1.0, n_node)
-            n_right = n_node - n_left
-            n_total = float(n_node)
-            # np.var along the contiguous last axis: each row gets the
-            # pairwise sums of a 1-D var of its own sort order
-            parent = np.var(y_sorted, axis=1)[:, None]
+            return (np.cumsum(y_sorted, axis=1),
+                    np.cumsum(y_sorted**2, axis=1))
+        return (np.cumsum(w_sorted, axis=1),
+                np.cumsum(w_sorted * y_sorted, axis=1),
+                np.cumsum(w_sorted * y_sorted**2, axis=1))
+
+    def _cut_gains(self, left, total, n_left, n_node, parent):
+        if n_left is None:
+            w_left, sum_left, sum2_left = left
+            w_total, sum_total, sum2_total = total
+            n_left = np.maximum(w_left, _TINY)
+            n_right = np.maximum(w_total - n_left, _TINY)
+            n_total = np.maximum(w_total, _TINY)
         else:
-            cumw = np.cumsum(w_sorted, axis=1)
-            cum = np.cumsum(w_sorted * y_sorted, axis=1)
-            cum2 = np.cumsum(w_sorted * y_sorted**2, axis=1)
-            n_left = np.maximum(cumw[:, :-1], _TINY)
-            n_right = np.maximum(cumw[:, -1:] - n_left, _TINY)
-            n_total = np.maximum(cumw[:, -1:], _TINY)
-            parent = self._weighted_parents(y_sorted, w_sorted)
-        sum_left = cum[:, :-1]
-        sum2_left = cum2[:, :-1]
-        sum_right = cum[:, -1:] - sum_left
-        sum2_right = cum2[:, -1:] - sum2_left
+            sum_left, sum2_left = left
+            sum_total, sum2_total = total
+            n_right = n_node - n_left
+            n_total = n_node
+        sum_right = sum_total - sum_left
+        sum2_right = sum2_total - sum2_left
         var_left = sum2_left / n_left - (sum_left / n_left) ** 2
         var_right = sum2_right / n_right - (sum_right / n_right) ** 2
         child = (n_left * var_left + n_right * var_right) / n_total
         return parent - child
+
+    def _row_parents(self, y_sorted, sizes, impurity, node):
+        # np.var along the contiguous last axis: each row gets the
+        # pairwise sums of a 1-D var of its own sort order, over its
+        # node's rows only (pads would change them); rows of equal size
+        # (runs, since a block's nodes come largest first) share a call
+        if isinstance(sizes, int):
+            return _variance(y_sorted)
+        parent = np.empty(len(sizes))
+        starts = [0] + (np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist()
+        for a, b in zip(starts, starts[1:] + [len(sizes)]):
+            parent[a:b] = _variance(y_sorted[a:b, : sizes[a]])
+        return parent
 
     def _split_gain_for_mask(self, y_node, mask, w_node=None) -> float:
         parent = self._node_impurity(y_node, w_node)

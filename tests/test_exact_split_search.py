@@ -1,11 +1,13 @@
-"""The row-wise exact split search grows the same trees as a per-feature scan.
+"""The lockstep exact builder grows the same trees as a per-feature scan.
 
 The reference (``benchmarks/split_search_reference.py``, which the model
-speed bench also times) is the exact ``splitter="best"`` search the
-row-wise kernel replaced.  Patched in with ``per_feature_search``, it
-refits the same estimator from the same seed, and every comparison is on
-raw bytes: each tree's node arrays, the estimator's attribute names and
-its pickle.
+speed bench also times) grows each tree alone in one depth-first loop and
+scans one candidate feature at a time.  Patched in with
+``per_feature_search``, it refits the same estimator from the same seed,
+and every comparison is on raw bytes: each tree's node arrays, the
+estimator's attribute names and its pickle.  Both forms of the batched
+gain evaluation (every cut of a block, or its admissible cuts only) are
+pinned against it.
 """
 
 import pickle
@@ -27,6 +29,7 @@ from repro.models import (
 )
 from repro.models.tree import _BaseDecisionTree
 from repro.pipeline.spaces import build_space
+from benchmarks import split_search_reference
 from benchmarks.split_search_reference import per_feature_search
 
 
@@ -241,9 +244,9 @@ def test_a_row_with_a_nan_gain_is_never_taken():
     (numpy's argmax returned the NaN and ``NaN > best`` is false)."""
 
     class NanOnFirstCandidate(DecisionTreeRegressor):
-        def _prefix_gains(self, y_sorted, n_node, w_sorted=None):
-            gains = super()._prefix_gains(y_sorted, n_node, w_sorted)
-            gains[0, 0] = np.nan
+        def _cut_gains(self, left, total, n_left, n_node, parent):
+            gains = super()._cut_gains(left, total, n_left, n_node, parent)
+            gains.flat[0] = np.nan  # the first candidate's first cut
             return gains
 
     X = np.column_stack([np.arange(40.0), np.arange(40.0) % 7])
@@ -300,3 +303,66 @@ def test_random_shapes_and_ties(n, d, n_classes, levels, nan, weighted,
         w[0] = 1.0  # positive total
         fit_kw["sample_weight"] = w
     assert_same_fit(make, X, y, **fit_kw)
+
+
+# -- the reference itself, and both gain forms --------------------------------
+
+def test_the_reference_grows_every_exact_tree_alone():
+    """Inside ``per_feature_search`` every exact fit (forest, boosting
+    stage, single tree) runs the per-feature scan and never the batched
+    search, so the comparisons above compare two different builders."""
+    X, y = surrogate_data(60, seed=3)
+    Xc, yc = tied_data(120, 6, 3, seed=4)
+    ref = split_search_reference.ref_best_split
+    with per_feature_search(), \
+            mock.patch.object(split_search_reference, "ref_best_split",
+                              wraps=ref) as scans, \
+            mock.patch.object(_BaseDecisionTree, "_best_splits",
+                              side_effect=AssertionError) as batched:
+        RandomForestRegressor(n_estimators=4, min_samples_leaf=2,
+                              max_features=0.8, random_state=0).fit(X, y)
+        after_forest = scans.call_count
+        GradientBoostingClassifier(n_estimators=3, random_state=0).fit(Xc, yc)
+        after_boosting = scans.call_count
+        DecisionTreeClassifier(random_state=0).fit(Xc, yc)
+    assert 0 < after_forest < after_boosting < scans.call_count
+    assert batched.call_count == 0
+
+
+@pytest.fixture(params=["dense", "sparse"])
+def gain_form(request):
+    """Force one form of the batched gain evaluation: every cut of a
+    block (then masked), or the admissible cuts only."""
+    share = 0.0 if request.param == "dense" else 1.0
+    with mock.patch("repro.models.tree._DENSE_SHARE", share):
+        yield request.param
+
+
+def test_both_gain_forms_grow_the_reference_forest(gain_form):
+    X, y = surrogate_data(120, seed=5)
+    assert_same_fit(lambda: RandomForestRegressor(
+        n_estimators=8, min_samples_leaf=2, max_features=0.8,
+        random_state=2), X, y)
+    X, y = tied_data(200, 8, 3, seed=6)
+    assert_same_fit(lambda: RandomForestClassifier(
+        n_estimators=6, max_features=2, random_state=3), X, y)
+    assert_same_fit(lambda: RandomForestClassifier(
+        n_estimators=4, min_samples_leaf=3, max_leaf_nodes=20,
+        random_state=4), X, y)
+
+
+@pytest.mark.parametrize("n_classes", [None, 2, 12])
+def test_both_gain_forms_grow_the_reference_tree(gain_form, n_classes):
+    X, y = tied_data(220, 6, n_classes, seed=7)
+    make = DecisionTreeRegressor if n_classes is None \
+        else DecisionTreeClassifier
+    assert_same_fit(lambda: make(min_samples_leaf=2, max_features=4,
+                                 random_state=1), X, y)
+    w = np.random.default_rng(7).uniform(0.0, 2.0, len(y))
+    w[::6] = 0.0
+    assert_same_fit(lambda: make(max_features=4, random_state=2), X, y,
+                    sample_weight=w)
+    if n_classes is None:
+        X, y = tied_data(180, 7, seed=8, nan_frac=0.05)
+        assert_same_fit(lambda: make(max_features=0.8, random_state=3),
+                        X, y)

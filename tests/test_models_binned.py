@@ -3,8 +3,8 @@
 The binned builder is opt-in (``binning=<max_bins>``); ``binning=None``
 must leave the exact sort-based path bit-identical, and the binned path
 must agree with the exact path up to quantization tolerance while
-honouring ``min_samples_leaf`` exactly.  A binned random forest grows its
-trees in lockstep, and each must equal the tree grown alone.
+honouring ``min_samples_leaf`` exactly.  A random forest grows its trees
+in lockstep with either kernel, and each must equal the tree grown alone.
 """
 
 import pickle
@@ -242,11 +242,14 @@ class TestCachedDepth:
             assert t.max_depth() == walked
 
 
-def _one_at_a_time(trees, Xb, y, edges, samples):
-    """The forest's former binned loop: each tree fits its own copy of
-    its sample rows, alone."""
+def _one_at_a_time(trees, X, y, samples, w=None, edges=None):
+    """Each tree fits its own copy of its sample rows, alone: the
+    one-tree call of the builder (``fit`` for exact trees)."""
     for tree, rows in zip(trees, samples):
-        tree.fit_binned(Xb[rows], y[rows], edges)
+        if edges is None:
+            tree.fit(X[rows], y[rows])
+        else:
+            tree.fit_binned(X[rows], y[rows], edges)
 
 
 _TREE_ARRAYS = ("feature", "threshold", "bin_threshold", "left", "right",
@@ -255,7 +258,7 @@ _TREE_ARRAYS = ("feature", "threshold", "bin_threshold", "left", "right",
 
 def _assert_lockstep_equals_alone(make, X, y):
     together = make().fit(X, y)
-    with mock.patch("repro.models.forest.fit_binned_many", _one_at_a_time):
+    with mock.patch("repro.models.forest.fit_many", _one_at_a_time):
         alone = make().fit(X, y)
     assert len(together.estimators_) == len(alone.estimators_)
     for i, (a, b) in enumerate(zip(together.estimators_, alone.estimators_)):
@@ -281,7 +284,7 @@ class TestLockstepForest:
         {"max_leaf_nodes": 40, "max_features": 0.5},
         {"bootstrap": False},
     ])
-    @pytest.mark.parametrize("binning", [255, 8])
+    @pytest.mark.parametrize("binning", [None, 255, 8])
     def test_classifier(self, kwargs, binning):
         X, y = _data(400, d=10, k=3, seed=7)
         X[:, 0] = np.round(X[:, 0])  # few distinct values
@@ -291,15 +294,71 @@ class TestLockstepForest:
 
     @pytest.mark.parametrize("kwargs", [
         {}, {"max_features": 0.8, "min_samples_leaf": 2},
-        {"max_leaf_nodes": 12},
+        {"max_leaf_nodes": 12}, {"max_features": 1},
     ])
     def test_regressor(self, kwargs):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(300, 8))
         X[:, ::2] = np.round(X[:, ::2])
         y = X[:, 1] - 0.5 * X[:, 2] + rng.normal(scale=0.3, size=300)
+        for binning in (64, None):
+            _assert_lockstep_equals_alone(lambda: RandomForestRegressor(
+                n_estimators=5, random_state=4, binning=binning, **kwargs),
+                X, y)
+
+    def test_bo_surrogate(self):
+        """The BO surrogate: 16 exact trees on one-hot and conditional
+        encodings, most of whose candidate rows have no admissible cut."""
+        from repro.pipeline.spaces import build_space
+
+        space = build_space()
+        rng = np.random.default_rng(3)
+        X = np.vstack([space.encode(space.sample(rng)) for _ in range(90)])
+        y = np.round(rng.uniform(0.4, 0.9, 90), 3)
         _assert_lockstep_equals_alone(lambda: RandomForestRegressor(
-            n_estimators=5, random_state=4, binning=64, **kwargs), X, y)
+            n_estimators=16, min_samples_leaf=2, max_features=0.8,
+            random_state=5), X, y)
+
+    def test_exact_nan_column(self):
+        """NaN sorts after every real value and before the pads, and no
+        cut borders it."""
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(150, 5))
+        X[rng.random(X.shape) < 0.1] = np.nan
+        X[:, 4] = np.nan
+        y = np.nan_to_num(X[:, 0]) + rng.normal(scale=0.3, size=150)
+        _assert_lockstep_equals_alone(lambda: RandomForestRegressor(
+            n_estimators=6, max_features=0.6, random_state=6), X, y)
+
+    @pytest.mark.parametrize("binning", [None, 255])
+    def test_nodes_below_min_samples_split(self, binning):
+        """No tree splits its root, or only a few nodes split: every
+        step's attempts end early for most trees."""
+        X, y = _data(40, d=5, k=2, seed=9)
+        for min_split in (41, 25):
+            _assert_lockstep_equals_alone(lambda: RandomForestClassifier(
+                n_estimators=5, min_samples_split=min_split,
+                random_state=7, binning=binning), X, y)
+
+    def test_exact_groups_break_where_node_sizes_halve(self):
+        """A step whose node sizes span more than a factor of two is
+        searched in several padded groups; each tree is still the tree
+        grown alone."""
+        import repro.models.tree as tree_module
+
+        X, y = _data(300, d=6, k=3, seed=10)
+        spans = []
+        bounds = tree_module._chunk_bounds
+
+        def spy(sizes, *args):
+            found = bounds(sizes, *args)
+            spans.append((sizes.max() / sizes.min(), len(found) - 1))
+            return found
+
+        with mock.patch.object(tree_module, "_chunk_bounds", spy):
+            _assert_lockstep_equals_alone(lambda: RandomForestClassifier(
+                n_estimators=8, max_features=2, random_state=8), X, y)
+        assert any(span > 2 and groups > 1 for span, groups in spans)
 
     def test_a_bootstrap_that_misses_a_class(self):
         """A tree whose bootstrap lacks a class codes its labels apart,
@@ -307,10 +366,12 @@ class TestLockstepForest:
         X, y = _data(60, d=4, k=2, seed=5)
         y = y.copy()
         y[:2] = 2  # a class of two rows: some bootstraps miss it
-        model = _assert_lockstep_equals_alone(lambda: RandomForestClassifier(
-            n_estimators=9, random_state=0, binning=255), X, y)
-        widths = {len(t.classes_) for t in model.estimators_}
-        assert widths == {2, 3}
+        for binning in (255, None):
+            model = _assert_lockstep_equals_alone(
+                lambda: RandomForestClassifier(
+                    n_estimators=9, random_state=0, binning=binning), X, y)
+            widths = {len(t.classes_) for t in model.estimators_}
+            assert widths == {2, 3}
 
     def test_memory_budget_splits_the_forest_into_batches(self):
         """A budget below one level of the whole forest grows the trees
@@ -320,10 +381,19 @@ class TestLockstepForest:
             _assert_lockstep_equals_alone(lambda: RandomForestClassifier(
                 n_estimators=5, random_state=2, binning=64), X, y)
 
+    def test_exact_budget_splits_steps_and_candidates(self):
+        """A budget below one node's candidates searches every node
+        alone, over chunks of its candidates."""
+        X, y = _data(200, d=9, k=3, seed=6)
+        with mock.patch("repro.models.tree._EXACT_CHUNK_ELEMENTS", 1500):
+            _assert_lockstep_equals_alone(lambda: RandomForestClassifier(
+                n_estimators=5, max_features=None, random_state=2), X, y)
+
     def test_extra_trees_still_grow_alone(self):
         X, y = _data(300, d=6, k=3, seed=8)
-        _assert_lockstep_equals_alone(lambda: ExtraTreesClassifier(
-            n_estimators=4, random_state=1, binning=32), X, y)
+        for binning in (32, None):
+            _assert_lockstep_equals_alone(lambda: ExtraTreesClassifier(
+                n_estimators=4, random_state=1, binning=binning), X, y)
 
     @given(
         seed=st.integers(0, 10_000),
@@ -334,10 +404,12 @@ class TestLockstepForest:
         max_features=st.sampled_from([None, "sqrt", 0.7]),
         max_leaf_nodes=st.sampled_from([None, 3, 10]),
         min_samples_leaf=st.integers(1, 3),
+        exact=st.booleans(),
     )
     @FAST
     def test_random_shapes(self, seed, n, d, n_classes, max_bins,
-                           max_features, max_leaf_nodes, min_samples_leaf):
+                           max_features, max_leaf_nodes, min_samples_leaf,
+                           exact):
         rng = np.random.default_rng(seed)
         X = rng.integers(0, 5, size=(n, d)).astype(float)
         y = rng.integers(0, n_classes, n)
@@ -345,4 +417,4 @@ class TestLockstepForest:
             n_estimators=4, max_features=max_features,
             max_leaf_nodes=max_leaf_nodes,
             min_samples_leaf=min_samples_leaf, random_state=seed,
-            binning=max_bins), X, y)
+            binning=None if exact else max_bins), X, y)

@@ -97,6 +97,19 @@ class TestRandomForestRegressor:
         _, sd_out = reg.predict_with_std(np.array([[10.0]]))
         assert sd_out[0] >= sd_in[0] - 1e-9
 
+    @pytest.mark.parametrize("n_targets", [8, 12])
+    @pytest.mark.parametrize("kwargs", [{}, {"bootstrap": False},
+                                        {"binning": 16}])
+    def test_rejects_x_and_y_of_different_lengths(self, rng, n_targets,
+                                                  kwargs):
+        """Too many targets were silently dropped and too few raised an
+        IndexError, unless every tree fitted on the whole matrix."""
+        X = rng.normal(0, 1, (10, 2))
+        y = rng.normal(0, 1, n_targets)
+        with pytest.raises(ValueError, match="X and y length mismatch"):
+            RandomForestRegressor(n_estimators=3, random_state=0,
+                                  **kwargs).fit(X, y)
+
 
 class TestGradientBoosting:
     def test_beats_chance_multiclass(self, split_multiclass):
